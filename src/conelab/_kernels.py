@@ -1,9 +1,7 @@
-"""Hot kernels, pure-Python reference implementation.
+"""Hot kernels: the exact inner loops of the matrix and elimination code.
 
-The compiled twin lives in _speedups.pyx and exposes the same functions with
-identical exact semantics; conelab.backend picks one at import time. Scalars
-are Python ints or fractions.Fraction, never floats. Matrices are lists (or
-tuples) of rows; results are always fresh lists.
+Scalars are Python ints or fractions.Fraction, never floats. Matrices are
+lists (or tuples) of rows; results are always fresh lists.
 """
 
 from fractions import Fraction

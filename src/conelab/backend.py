@@ -1,38 +1,9 @@
-"""Selects the kernel implementation at import time.
+"""The kernel module and its name, for callers that import them from here.
 
-CONELAB_BACKEND=python forces the pure-Python kernels, CONELAB_BACKEND=c
-requires the compiled extension (ImportError if it is not built), and the
-default tries the extension first and falls back silently.
+The package has one kernel set, conelab._kernels; its own modules import it
+directly.
 """
 
-import os
+from conelab import _kernels as kernels
 
-_PURE = ("python", "py", "pure")
-_COMPILED = ("c", "compiled", "speedups")
-
-
-def _select():
-    choice = os.environ.get("CONELAB_BACKEND", "auto").strip().lower()
-    if choice in _PURE:
-        from conelab import _kernels
-
-        return _kernels, "python"
-    if choice in _COMPILED:
-        from conelab import _speedups
-
-        return _speedups, "c"
-    if choice not in ("", "auto"):
-        raise RuntimeError(
-            "unknown CONELAB_BACKEND value %r (use auto, c, or python)" % choice
-        )
-    try:
-        from conelab import _speedups
-
-        return _speedups, "c"
-    except ImportError:
-        from conelab import _kernels
-
-        return _kernels, "python"
-
-
-kernels, backend_name = _select()
+backend_name = "python"

@@ -52,7 +52,18 @@ class _Parser(argparse.ArgumentParser):
     # argparse defaults to exit code 2; flag mistakes are input errors here
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
+def _positive_int(text):
+    """argparse type for ranks, counts and sampler bounds: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
 
 
 def _emit(obj, out=None):
@@ -86,10 +97,7 @@ def _extremal_dims(r):
 
 def cmd_sigma(cfg):
     if cfg.options.get("family_dims") is not None:
-        r = cfg.options["family_dims"]
-        if r < 1:
-            raise SerializationError("--family-dims needs a positive rank")
-        table = _extremal_dims(r)
+        table = _extremal_dims(cfg.options["family_dims"])
     else:
         table = _load(cfg.options["dims"], serialize.dims_from_dict, "dims")
     sigma = degrees_mod.sigma_from_dims(table)
@@ -99,8 +107,6 @@ def cmd_sigma(cfg):
 
 def cmd_theorem(cfg):
     r = cfg.options["rank"]
-    if r < 1:
-        raise SerializationError("--rank needs a positive integer")
     V = doubling.iterate_construction(r)
     report = verify_v_conditions(V)
     if not report.passed:
@@ -133,10 +139,7 @@ def cmd_double(cfg):
 
 
 def cmd_iterate(cfg):
-    r = cfg.options["rank"]
-    if r < 1:
-        raise SerializationError("--rank needs a positive integer")
-    V = doubling.iterate_construction(r)
+    V = doubling.iterate_construction(cfg.options["rank"])
     _emit(serialize.realization_to_dict(V), cfg.options.get("out"))
     return EXIT_OK
 
@@ -255,10 +258,12 @@ def cmd_rank3_duality(cfg):
 
 
 def _add_sampler_flags(p):
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-numerator", type=int, default=100, dest="max_numerator")
-    p.add_argument("--max-denominator", type=int, default=10, dest="max_denominator")
+    p.add_argument("--max-numerator", type=_positive_int, default=100, dest="max_numerator")
+    p.add_argument(
+        "--max-denominator", type=_positive_int, default=10, dest="max_denominator"
+    )
 
 
 def build_parser():
@@ -270,14 +275,14 @@ def build_parser():
     group.add_argument("--dims", help="dimension table JSON file")
     group.add_argument(
         "--family-dims",
-        type=int,
+        type=_positive_int,
         dest="family_dims",
         help="use the extremal table d_kj = 2^(k-j) at this rank",
     )
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("theorem", help="build, verify and measure the extremal family")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive_int, required=True)
     p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("double", help="apply the rank-raising step to a realization")
@@ -286,7 +291,7 @@ def build_parser():
     p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("iterate", help="iterate the construction from the half-line")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_iterate)
 

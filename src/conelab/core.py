@@ -18,11 +18,11 @@ Everything is exact rational arithmetic; no floats enter at any point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
+from conelab import _kernels as kernels
 from conelab import linalg
-from conelab.backend import kernels
 from conelab.degrees import DimTable
 from conelab.errors import ClosureViolationError, NotInSpaceError, StructureError
 
@@ -134,26 +134,37 @@ class VCollection:
             self._solvers[key] = linalg.SpanSolver(vectors, label="V_%d%d" % key)
         return self._solvers[key]
 
+    def v3_violation(self, k, j):
+        """First basis pair (a, b), 1-indexed, of V_kj that breaks (V3).
+
+        None when every symmetrized product is scalar; the Gram matrix is then
+        cached, so gram() and is_orthonormal() reuse it.
+        """
+        key = (k, j)
+        if key in self._grams:
+            return None
+        basis = self.basis(k, j)
+        d = len(basis)
+        G = [[0] * d for _ in range(d)]
+        for a in range(d):
+            for b in range(a, d):
+                c = kernels.sym_pair_scalar(basis[a], basis[b])
+                if c is None:
+                    return (a + 1, b + 1)
+                G[a][b] = c
+                G[b][a] = c
+        self._grams[key] = tuple(tuple(row) for row in G)
+        return None
+
     def gram(self, k, j):
         """Gram matrix of the basis of V_kj in the scalar product of (V3)."""
-        key = (k, j)
-        if key not in self._grams:
-            basis = self.basis(k, j)
-            d = len(basis)
-            G = [[0] * d for _ in range(d)]
-            for a in range(d):
-                for b in range(a, d):
-                    c = kernels.sym_pair_scalar(basis[a], basis[b])
-                    if c is None:
-                        raise StructureError(
-                            "(V3) violation in V_%d%d: symmetrized product of "
-                            "basis elements %d and %d is not scalar"
-                            % (k, j, a + 1, b + 1)
-                        )
-                    G[a][b] = c
-                    G[b][a] = c
-            self._grams[key] = tuple(tuple(row) for row in G)
-        return self._grams[key]
+        bad = self.v3_violation(k, j)
+        if bad is not None:
+            raise StructureError(
+                "(V3) violation in V_%d%d: symmetrized product of "
+                "basis elements %d and %d is not scalar" % (k, j, *bad)
+            )
+        return self._grams[(k, j)]
 
     def is_orthonormal(self):
         for k, j in self.spaces():
@@ -191,53 +202,42 @@ class GroupElement:
     __hash__ = None
 
 
-def cone_element(V, diag, off=None):
-    """Build a canonical ConeElement for V, filling absent coordinates with 0."""
+def _canonical_coords(V, diag, coords):
+    """Checked diagonal tuple and coordinate dict, absent spaces filled with 0."""
     diag = tuple(diag)
     if len(diag) != V.r:
         raise StructureError("need %d diagonal values" % V.r)
     if not all(_is_rational(c) for c in diag):
         raise StructureError("diagonal values must be rational")
-    coords = {}
-    off = dict(off or {})
+    out = {}
+    coords = dict(coords or {})
     for key in V.spaces():
         d = V.dim(*key)
-        vals = tuple(off.pop(key, (0,) * d))
+        vals = tuple(coords.pop(key, (0,) * d))
         if len(vals) != d:
             raise StructureError(
                 "V_%d%d expects %d coordinates, got %d" % (*key, d, len(vals))
             )
         if not all(_is_rational(c) for c in vals):
             raise StructureError("coordinates must be rational")
-        coords[key] = vals
-    if off:
-        raise StructureError("coordinates for undeclared spaces: %r" % sorted(off))
-    return ConeElement(diag=diag, off=coords)
+        out[key] = vals
+    if coords:
+        raise StructureError("coordinates for undeclared spaces: %r" % sorted(coords))
+    return diag, out
+
+
+def cone_element(V, diag, off=None):
+    """Build a canonical ConeElement for V, filling absent coordinates with 0."""
+    diag, off = _canonical_coords(V, diag, off)
+    return ConeElement(diag=diag, off=off)
 
 
 def group_element(V, diag, lower=None):
     """Build a canonical GroupElement for V; diagonal scalars must be nonzero."""
-    diag = tuple(diag)
-    if len(diag) != V.r:
-        raise StructureError("need %d diagonal values" % V.r)
-    for t in diag:
-        if not _is_rational(t) or t == 0:
-            raise StructureError("group diagonal values must be nonzero rationals")
-    coords = {}
-    lower = dict(lower or {})
-    for key in V.spaces():
-        d = V.dim(*key)
-        vals = tuple(lower.pop(key, (0,) * d))
-        if len(vals) != d:
-            raise StructureError(
-                "V_%d%d expects %d coordinates, got %d" % (*key, d, len(vals))
-            )
-        if not all(_is_rational(c) for c in vals):
-            raise StructureError("coordinates must be rational")
-        coords[key] = vals
-    if lower:
-        raise StructureError("coordinates for undeclared spaces: %r" % sorted(lower))
-    return GroupElement(diag=diag, lower=coords)
+    diag, lower = _canonical_coords(V, diag, lower)
+    if 0 in diag:
+        raise StructureError("group diagonal values must be nonzero rationals")
+    return GroupElement(diag=diag, lower=lower)
 
 
 def identity_element(V):
@@ -269,28 +269,37 @@ def block_from_coords(V, k, j, coords):
     return out
 
 
-def embed(x, V):
-    """Symmetric N x N matrix of a ConeElement."""
+def _embed(V, diag, coords, symmetric):
+    """N x N matrix with scalar diagonal blocks and the given lower blocks.
+
+    symmetric mirrors every lower block into the upper triangle.
+    """
     part = V.partition
     N = part.total
     M = [[0] * N for _ in range(N)]
     for i in range(1, part.r + 1):
         o = part.offset(i)
-        c = x.diag[i - 1]
+        c = diag[i - 1]
         if c:
             for t in range(part.size(i)):
                 M[o + t][o + t] = c
-    for (k, j), coords in x.off.items():
-        if not any(coords):
+    for (k, j), cs in coords.items():
+        if not any(cs):
             continue
-        block = block_from_coords(V, k, j, coords)
+        block = block_from_coords(V, k, j, cs)
         ok, oj = part.offset(k), part.offset(j)
         for u, row in enumerate(block):
             for v, e in enumerate(row):
                 if e:
                     M[ok + u][oj + v] = e
-                    M[oj + v][ok + u] = e
+                    if symmetric:
+                        M[oj + v][ok + u] = e
     return M
+
+
+def embed(x, V):
+    """Symmetric N x N matrix of a ConeElement."""
+    return _embed(V, x.diag, x.off, symmetric=True)
 
 
 def _extract_block(M, part, k, j):
@@ -313,14 +322,25 @@ def _scalar_of_diag_block(M, part, i):
     return c
 
 
-def project(M, V):
-    """Inverse of embed; raises NotInSpaceError at the first offending block."""
+def _project(M, V, symmetric):
+    """Diagonal scalars and lower-block coordinates of an N x N matrix.
+
+    symmetric demands M == tM; otherwise every block above the diagonal must
+    vanish. Raises NotInSpaceError at the first block outside V.
+    """
     part = V.partition
     N = part.total
     if len(M) != N or any(len(row) != N for row in M):
         raise StructureError("matrix is not %d x %d" % (N, N))
-    if not linalg.is_symmetric(M):
-        raise StructureError("matrix is not symmetric")
+    if symmetric:
+        if not linalg.is_symmetric(M):
+            raise StructureError("matrix is not symmetric")
+    else:
+        for k, j in V.pairs():
+            if any(any(row) for row in _extract_block(M, part, j, k)):
+                raise StructureError(
+                    "matrix is not block lower triangular at (%d, %d)" % (j, k)
+                )
     diag = []
     for i in range(1, part.r + 1):
         c = _scalar_of_diag_block(M, part, i)
@@ -329,7 +349,7 @@ def project(M, V):
                 "diagonal block %d is not a scalar matrix" % i, ("diag", i)
             )
         diag.append(c)
-    off = {}
+    coords = {}
     for k, j in V.pairs():
         block = _extract_block(M, part, k, j)
         if V.dim(k, j) == 0:
@@ -339,82 +359,32 @@ def project(M, V):
                     (k, j),
                 )
             continue
-        coords = V.solver(k, j).solve(linalg.vec_matrix(block))
-        if coords is None:
+        cs = V.solver(k, j).solve(linalg.vec_matrix(block))
+        if cs is None:
             raise NotInSpaceError(
                 "block (%d, %d) is outside its declared span" % (k, j), (k, j)
             )
-        off[(k, j)] = tuple(coords)
-    return ConeElement(diag=tuple(diag), off=off)
+        coords[(k, j)] = tuple(cs)
+    return tuple(diag), coords
+
+
+def project(M, V):
+    """Inverse of embed; raises NotInSpaceError at the first offending block."""
+    diag, off = _project(M, V, symmetric=True)
+    return ConeElement(diag=diag, off=off)
 
 
 def embed_group(h, V):
     """Block lower triangular N x N matrix of a GroupElement."""
-    part = V.partition
-    N = part.total
-    M = [[0] * N for _ in range(N)]
-    for i in range(1, part.r + 1):
-        o = part.offset(i)
-        t = h.diag[i - 1]
-        for u in range(part.size(i)):
-            M[o + u][o + u] = t
-    for (k, j), coords in h.lower.items():
-        if not any(coords):
-            continue
-        block = block_from_coords(V, k, j, coords)
-        ok, oj = part.offset(k), part.offset(j)
-        for u, row in enumerate(block):
-            for v, e in enumerate(row):
-                if e:
-                    M[ok + u][oj + v] = e
-    return M
+    return _embed(V, h.diag, h.lower, symmetric=False)
 
 
 def project_group(M, V):
     """Inverse of embed_group for block lower triangular matrices."""
-    part = V.partition
-    N = part.total
-    if len(M) != N or any(len(row) != N for row in M):
-        raise StructureError("matrix is not %d x %d" % (N, N))
-    for j in range(1, part.r + 1):
-        oj = part.offset(j)
-        for k in range(1, j):
-            ok = part.offset(k)
-            for u in range(part.size(k)):
-                row = M[ok + u]
-                for v in range(part.size(j)):
-                    if row[oj + v]:
-                        raise StructureError(
-                            "matrix is not block lower triangular at (%d, %d)"
-                            % (k, j)
-                        )
-    diag = []
-    for i in range(1, part.r + 1):
-        c = _scalar_of_diag_block(M, part, i)
-        if c is None:
-            raise NotInSpaceError(
-                "diagonal block %d is not a scalar matrix" % i, ("diag", i)
-            )
-        if c == 0:
-            raise StructureError("diagonal block %d vanishes" % i)
-        diag.append(c)
-    lower = {}
-    for k, j in V.pairs():
-        block = _extract_block(M, part, k, j)
-        if V.dim(k, j) == 0:
-            if any(any(row) for row in block):
-                raise NotInSpaceError(
-                    "block (%d, %d) must vanish (zero-dimensional space)" % (k, j),
-                    (k, j),
-                )
-            continue
-        coords = V.solver(k, j).solve(linalg.vec_matrix(block))
-        if coords is None:
-            raise NotInSpaceError(
-                "block (%d, %d) is outside its declared span" % (k, j), (k, j)
-            )
-        lower[(k, j)] = tuple(coords)
-    return GroupElement(diag=tuple(diag), lower=lower)
+    diag, lower = _project(M, V, symmetric=False)
+    if 0 in diag:
+        raise StructureError("diagonal block %d vanishes" % (diag.index(0) + 1))
+    return GroupElement(diag=diag, lower=lower)
 
 
 def inner_product_space(X, Y):
@@ -491,6 +461,32 @@ class VerificationReport:
     orthonormal: bool
 
 
+def _product_condition(V, transposed):
+    """(V1) on basis elements, or (V2) when transposed.
+
+    For i < j < k, (V1) needs X_kj * X_ji in V_ki and (V2) needs
+    X_ki * t(X_ji) in V_kj. The counterexample is (i, j, k, a, b) with a and
+    b the 1-indexed basis elements of the left and right factor.
+    """
+    # looked up per call, so a wrapper installed on the kernels module is seen
+    mul = kernels.mat_mul_t if transposed else kernels.mat_mul
+    for k in range(3, V.r + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                left, target = ((k, i), (k, j)) if transposed else ((k, j), (k, i))
+                basis_left = V.basis(*left)
+                basis_ji = V.basis(j, i)
+                if not basis_left or not basis_ji:
+                    continue
+                solver = V.solver(*target) if V.dim(*target) else None
+                for a, E in enumerate(basis_left):
+                    for b, F in enumerate(basis_ji):
+                        P = linalg.vec_matrix(mul(E, F))
+                        if not (solver.contains(P) if solver else not any(P)):
+                            return ConditionReport(False, (i, j, k, a + 1, b + 1))
+    return ConditionReport(True)
+
+
 def verify_v_conditions(V):
     """Check (V1), (V2), (V3) on basis elements.
 
@@ -503,78 +499,15 @@ def verify_v_conditions(V):
         V.solver(*key)
 
     v3 = ConditionReport(True)
-    grams_ok = True
     for k, j in V.spaces():
-        basis = V.basis(k, j)
-        done = False
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
-                if kernels.sym_pair_scalar(basis[a], basis[b]) is None:
-                    v3 = ConditionReport(False, (k, j, a + 1, b + 1))
-                    grams_ok = False
-                    done = True
-                    break
-            if done:
-                break
-        if done:
+        bad = V.v3_violation(k, j)
+        if bad is not None:
+            v3 = ConditionReport(False, (k, j, *bad))
             break
 
-    r = V.partition.r
-    v1 = ConditionReport(True)
-    for k in range(3, r + 1):
-        if not v1.passed:
-            break
-        for j in range(2, k):
-            if not v1.passed:
-                break
-            for i in range(1, j):
-                basis_kj = V.basis(k, j)
-                basis_ji = V.basis(j, i)
-                if not basis_kj or not basis_ji:
-                    continue
-                target = V.solver(k, i) if V.dim(k, i) else None
-                stop = False
-                for a, E in enumerate(basis_kj):
-                    for b, F in enumerate(basis_ji):
-                        P = linalg.vec_matrix(kernels.mat_mul(E, F))
-                        ok = target.contains(P) if target else not any(P)
-                        if not ok:
-                            v1 = ConditionReport(False, (i, j, k, a + 1, b + 1))
-                            stop = True
-                            break
-                    if stop:
-                        break
-                if stop:
-                    break
-
-    v2 = ConditionReport(True)
-    for k in range(3, r + 1):
-        if not v2.passed:
-            break
-        for j in range(2, k):
-            if not v2.passed:
-                break
-            for i in range(1, j):
-                basis_ki = V.basis(k, i)
-                basis_ji = V.basis(j, i)
-                if not basis_ki or not basis_ji:
-                    continue
-                target = V.solver(k, j) if V.dim(k, j) else None
-                stop = False
-                for a, E in enumerate(basis_ki):
-                    for b, F in enumerate(basis_ji):
-                        P = linalg.vec_matrix(kernels.mat_mul_t(E, F))
-                        ok = target.contains(P) if target else not any(P)
-                        if not ok:
-                            v2 = ConditionReport(False, (i, j, k, a + 1, b + 1))
-                            stop = True
-                            break
-                    if stop:
-                        break
-                if stop:
-                    break
-
-    orthonormal = grams_ok and V.is_orthonormal()
+    v1 = _product_condition(V, transposed=False)
+    v2 = _product_condition(V, transposed=True)
+    orthonormal = v3.passed and V.is_orthonormal()
     passed = v1.passed and v2.passed and v3.passed
     return VerificationReport(
         passed=passed,
@@ -623,7 +556,12 @@ def ldl_decompose(x, V):
     for j in range(1, r + 1):
         d = diag[j - 1]
         pivots.append(d)
-        col = [(k, blocks[(k, j)]) for k in range(j + 1, r + 1) if (k, j) in blocks]
+        # blocks that elimination cancelled exactly drop out of the column
+        col = []
+        for k in range(j + 1, r + 1):
+            X = blocks.pop((k, j), None)
+            if X is not None and any(any(row) for row in X):
+                col.append((k, X))
         if d == 0:
             if col:
                 return LdlResult(
@@ -658,8 +596,6 @@ def ldl_decompose(x, V):
                     if cur is not None
                     else linalg.scalar_mul(-1, update)
                 )
-        for k, _ in col:
-            del blocks[(k, j)]
     if all(p > 0 for p in pivots):
         status = "positive"
     elif all(p >= 0 for p in pivots):

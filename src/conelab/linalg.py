@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from conelab.backend import kernels
+from conelab import _kernels as kernels
 from conelab.errors import StructureError
 
 dot = kernels.dot

@@ -23,9 +23,15 @@ instead; the generic layout presumes r >= 1.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from conelab import _kernels as kernels
 from conelab import linalg, poly
-from conelab.backend import kernels
-from conelab.core import BlockPartition, VCollection, cone_element, verify_v_conditions
+from conelab.core import (
+    BlockPartition,
+    VCollection,
+    _is_rational,
+    cone_element,
+    verify_v_conditions,
+)
 from conelab.degrees import (
     degrees_from_sigma,
     dual_degrees_rank3,
@@ -33,12 +39,6 @@ from conelab.degrees import (
     sigma_from_dims,
 )
 from conelab.errors import StructureError
-
-_RATIONAL_TYPES = (int, Fraction)
-
-
-def _is_rational(v):
-    return isinstance(v, _RATIONAL_TYPES) and not isinstance(v, bool)
 
 
 def hurwitz_radon_number(n):

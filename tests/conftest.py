@@ -2,16 +2,9 @@ import pytest
 
 from conelab import _kernels
 
-try:
-    from conelab import _speedups
-except ImportError:
-    _speedups = None
 
-BACKENDS = [_kernels] if _speedups is None else [_kernels, _speedups]
-BACKEND_IDS = ["python"] if _speedups is None else ["python", "c"]
-
-
-@pytest.fixture(params=BACKENDS, ids=BACKEND_IDS, scope="session")
+# a single param, so the kernel tests keep their "[python]" ids
+@pytest.fixture(params=[_kernels], ids=["python"], scope="session")
 def kernels(request):
     return request.param
 

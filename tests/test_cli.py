@@ -270,6 +270,24 @@ def test_rank3_duality(capsys, tmp_path):
     assert d == {"samples": 5, "seed": 3, "passed": True}
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--samples", "0"),
+        ("--samples", "-3"),
+        ("--max-numerator", "0"),
+        ("--max-denominator", "-1"),
+    ],
+)
+def test_rank3_duality_rejects_non_positive_flags(capsys, tmp_path, flag, value):
+    # zero samples would otherwise report a pass after no checks at all
+    _, fam = write_family(tmp_path)
+    code, out, err = run(capsys, "rank3", "duality", "--family", fam, flag, value)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
 def test_malformed_json_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

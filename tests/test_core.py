@@ -285,6 +285,7 @@ def test_verify_v1_counterexample():
     report = verify_v_conditions(V)
     assert not report.passed
     assert not report.v1.passed
+    assert report.v1.counterexample == (1, 2, 3, 1, 1)
 
 
 def test_verify_v3_counterexample():
@@ -296,6 +297,26 @@ def test_verify_v3_counterexample():
     assert not report.passed
     assert not report.v3.passed
     assert report.v3.counterexample == (2, 1, 1, 2)
+
+
+def test_verify_scalar_products_computed_once(monkeypatch):
+    # (V3) and the orthonormal flag share one Gram pass: at rank 5 the
+    # spaces have dims 2^(k-j), so sum d(d+1)/2 over them is 250 products
+    from conelab import _kernels
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(5)
+    calls = []
+    original = _kernels.sym_pair_scalar
+
+    def counting(X, Y):
+        calls.append(1)
+        return original(X, Y)
+
+    monkeypatch.setattr(_kernels, "sym_pair_scalar", counting)
+    report = verify_v_conditions(V)
+    assert report.passed and report.orthonormal
+    assert len(calls) == 250
 
 
 def test_verify_skewed_basis_passes_but_not_orthonormal():
@@ -349,6 +370,22 @@ def test_ldl_undefined(omega2):
     assert not res.is_member
 
 
+def _rebuild(res, V):
+    """U D tU from an LdlResult, by schoolbook sums."""
+    part = V.partition
+    N = part.total
+    U = embed_group(res.unit, V)
+    D = linalg.zeros(N, N)
+    for i in range(1, part.r + 1):
+        for t in range(part.size(i)):
+            D[part.offset(i) + t][part.offset(i) + t] = res.pivots[i - 1]
+    UD = [[sum(U[a][b] * D[b][c] for b in range(N)) for c in range(N)] for a in range(N)]
+    return [
+        [sum(UD[a][b] * U[c][b] for b in range(N)) for c in range(N)]
+        for a in range(N)
+    ]
+
+
 def test_ldl_reconstruction(omega3):
     sampler = RationalSampler(seed=9)
     part = omega3.partition
@@ -356,17 +393,7 @@ def test_ldl_reconstruction(omega3):
         x = sampler.interior_element(omega3)
         res = ldl_decompose(x, omega3)
         assert res.is_member
-        U = embed_group(res.unit, omega3)
-        D = linalg.zeros(7, 7)
-        for i in range(1, 4):
-            for t in range(part.size(i)):
-                D[part.offset(i) + t][part.offset(i) + t] = res.pivots[i - 1]
-        UD = [[sum(U[a][b] * D[b][c] for b in range(7)) for c in range(7)] for a in range(7)]
-        UDUt = [
-            [sum(UD[a][b] * U[c][b] for b in range(7)) for c in range(7)]
-            for a in range(7)
-        ]
-        assert UDUt == embed(x, omega3)
+        assert _rebuild(res, omega3) == embed(x, omega3)
         # det X = prod pivot^block-size
         det = 1
         for i in range(1, 4):
@@ -391,12 +418,18 @@ def test_interior_sampler_members(omega2, omega3):
 
 
 def test_boundary_sampler(omega3):
+    # a zero pivot inside the elimination leaves blocks that cancel exactly;
+    # they must not make the point read "undefined"
+    from conelab.doubling import iterate_construction
+
     sampler = RationalSampler(seed=12)
-    for _ in range(10):
-        x = sampler.boundary_element(omega3, zeros=1)
-        res = ldl_decompose(x, omega3)
-        assert res.status in ("boundary", "undefined")
-        assert not element_is_zero(x)
+    for V in (omega3, iterate_construction(5)):
+        for _ in range(10):
+            x = sampler.boundary_element(V, zeros=1)
+            res = ldl_decompose(x, V)
+            assert res.status == "boundary"
+            assert not element_is_zero(x)
+            assert _rebuild(res, V) == embed(x, V)
 
 
 def test_dual_pairing_positive(omega2):

@@ -1,4 +1,4 @@
-"""Kernel tests, run against both backends.
+"""Kernel tests for conelab._kernels.
 
 Oracles are deliberately naive: permutation-expansion determinants, cofactor
 minors, and schoolbook matrix products over Fraction arithmetic.
@@ -8,7 +8,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,20 +186,3 @@ def test_reduce_and_collect_fraction_pivots(kernels):
     assert coeffs == [Fraction(1, 2), Fraction(1, 3)]
     assert v == [0, 0]
 
-
-def test_backends_agree_on_everything():
-    from conelab import _kernels
-
-    try:
-        from conelab import _speedups
-    except ImportError:
-        pytest.skip("compiled backend not built")
-    rng = random.Random(5)
-    for _ in range(10):
-        n = rng.randint(1, 6)
-        A = _rand_matrix(rng, n, n)
-        B = _rand_matrix(rng, n, n)
-        assert _kernels.mat_mul(A, B) == _speedups.mat_mul(A, B)
-        assert _kernels.bareiss_det(A) == _speedups.bareiss_det(A)
-        assert _kernels.bareiss_minors(A) == _speedups.bareiss_minors(A)
-        assert _kernels.sym_pair_scalar(A, B) == _speedups.sym_pair_scalar(A, B)
