@@ -1,7 +1,9 @@
 """Hot kernels: the exact inner loops of the matrix and elimination code.
 
-Scalars are Python ints or fractions.Fraction, never floats. Matrices are
-lists (or tuples) of rows; results are always fresh lists.
+Scalars are Python ints or fractions.Fraction, never floats. Dense matrices
+are lists (or tuples) of rows; results are always fresh lists. A sparse
+matrix is the tuple of its nonzero entries (u, v, value) in row-major order,
+and a sparse vector is a dict {index: value} holding nonzeros only.
 """
 
 from fractions import Fraction
@@ -141,26 +143,93 @@ def bareiss_det(A):
     return sign * M[n - 1][n - 1]
 
 
-def reduce_and_collect(v, rows, piv_cols, piv_invs):
-    """Eliminate v in place against mutually reduced echelon rows.
+def sparse_entries(M):
+    """Nonzero entries (u, v, value) of a row-major matrix, in row-major order."""
+    return tuple((u, v, e) for u, row in enumerate(M) for v, e in enumerate(row) if e)
 
-    rows[t] has its pivot at column piv_cols[t] and zeros at every other
-    row's pivot column; piv_invs[t] is the exact inverse of the pivot value.
-    Returns the multipliers f with v_original = sum(f[t]*rows[t]) + residual,
-    leaving the residual in v.
+
+def sparse_index(entries, by_row):
+    """Map each row (by_row) or each column of a sparse matrix to its nonzeros.
+
+    by_row maps row w to the pairs (v, value) of row w; otherwise column w
+    maps to the pairs (u, value) of column w. Pairs are tuples.
     """
-    coeffs = []
-    width = len(v)
-    for t in range(len(rows)):
-        c = v[piv_cols[t]]
-        if c:
-            f = c * piv_invs[t]
-            row = rows[t]
-            for j in range(width):
-                rj = row[j]
-                if rj:
-                    v[j] -= f * rj
-            coeffs.append(f)
+    index = {}
+    for u, v, e in entries:
+        if by_row:
+            index.setdefault(u, []).append((v, e))
         else:
-            coeffs.append(0)
+            index.setdefault(v, []).append((u, e))
+    return {w: tuple(pairs) for w, pairs in index.items()}
+
+
+def sparse_join(entries, index, width):
+    """Product of a sparse A with a second factor, joined on A's column index.
+
+    entries are A's nonzeros (u, w, a); index maps w to pairs (v, b). With
+    index = sparse_index(B, by_row=True) the result is A·B, with
+    sparse_index(B, by_row=False) it is A·tB. Returns the product as a sparse
+    vector in row-major order, {u*width + v: value}, without zeros.
+    """
+    out = {}
+    get = out.get
+    for u, w, a in entries:
+        hits = index.get(w)
+        if hits:
+            base = u * width
+            for v, b in hits:
+                key = base + v
+                out[key] = get(key, 0) + a * b
+    if 0 in out.values():
+        out = {key: x for key, x in out.items() if x}
+    return out
+
+
+def sparse_sym_pair(X, Y_cols, n):
+    """sym_pair_scalar over nonzeros: X sparse, Y given by its column index.
+
+    X and Y are n-row matrices of one shape; Y_cols is
+    sparse_index(Y, by_row=False). Returns c with (X·ᵗY + Y·ᵗX)/2 == c·I,
+    or None if there is no such c.
+    """
+    S = sparse_join(X, Y_cols, n)  # S = X·ᵗY; the sum is S + ᵗS
+    c = 0
+    on_diagonal = 0
+    for key, s in S.items():
+        u, v = divmod(key, n)
+        if u == v:
+            if on_diagonal and s != c:
+                return None
+            c = s
+            on_diagonal += 1
+        elif s + S.get(v * n + u, 0):
+            return None
+    if on_diagonal and on_diagonal != n:
+        return None
+    return c
+
+
+def reduce_and_collect(v, rows, pivots, piv_invs):
+    """Eliminate the sparse vector v in place against mutually reduced rows.
+
+    rows[t] is a sparse vector that is zero at every other row's pivot;
+    pivots maps each pivot index to its row t and piv_invs[t] is the exact
+    inverse of that row's pivot value. Returns the
+    multipliers f, one per row, with v_original = sum(f[t]*rows[t]) +
+    residual, leaving the residual in v (zeros removed). Only the nonzeros of
+    v that sit on a pivot are visited: eliminating one row leaves v unchanged
+    at every other pivot.
+    """
+    coeffs = [0] * len(rows)
+    for col in v.keys() & pivots.keys():
+        t = pivots[col]
+        f = v[col] * piv_invs[t]
+        get = v.get
+        for j, rj in rows[t].items():
+            x = get(j, 0) - f * rj
+            if x:
+                v[j] = x
+            else:
+                v.pop(j, None)
+        coeffs[t] = f
     return coeffs

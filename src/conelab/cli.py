@@ -105,12 +105,17 @@ def cmd_sigma(cfg):
     return EXIT_OK
 
 
+def _verified_construction(r):
+    """iterate_construction(r) after its single verification pass."""
+    V = doubling.iterate_construction(r)
+    if not verify_v_conditions(V).passed:
+        raise CommandFailure(EXIT_INTERNAL, "constructed realization fails (V1)-(V3)")
+    return V
+
+
 def cmd_theorem(cfg):
     r = cfg.options["rank"]
-    V = doubling.iterate_construction(r)
-    report = verify_v_conditions(V)
-    if not report.passed:
-        raise CommandFailure(EXIT_INTERNAL, "constructed realization fails (V1)-(V3)")
+    V = _verified_construction(r)
     table = V.dims_table()
     if table != _extremal_dims(r):
         raise CommandFailure(EXIT_INTERNAL, "dimension table is not d_kj = 2^(k-j)")
@@ -139,7 +144,7 @@ def cmd_double(cfg):
 
 
 def cmd_iterate(cfg):
-    V = doubling.iterate_construction(cfg.options["rank"])
+    V = _verified_construction(cfg.options["rank"])
     _emit(serialize.realization_to_dict(V), cfg.options.get("out"))
     return EXIT_OK
 

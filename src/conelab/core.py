@@ -62,30 +62,35 @@ class BlockPartition:
         return sum(self.sizes[: i - 1])
 
 
+def _space_shape(partition, k, j):
+    """(n_k, n_j) for a valid lower index pair of the partition."""
+    if not (1 <= j < k <= partition.r):
+        raise StructureError(
+            "bad space index (%d, %d) for rank %d" % (k, j, partition.r)
+        )
+    return partition.size(k), partition.size(j)
+
+
 class VCollection:
     """A block partition plus declared off-diagonal spaces (lower triangle).
 
     bases maps (k, j) with 1 <= j < k <= r to a list of n_k x n_j basis
     matrices with rational entries. Missing pairs (or empty lists) declare a
-    zero-dimensional space, which is legal. Matrices are stored as nested
-    tuples; treat a constructed collection as immutable.
+    zero-dimensional space, which is legal. Each basis element is stored once,
+    as its nonzero entries (u, v, value) together with its row and column
+    indexes, which the (V1)-(V3) checks join on; basis() rebuilds the dense
+    matrices. Treat a constructed collection as immutable.
     """
 
     def __init__(self, partition, bases):
         if not isinstance(partition, BlockPartition):
             partition = BlockPartition(tuple(partition))
-        self.partition = partition
-        r = partition.r
         stored = {}
         for (k, j), mats in bases.items():
-            if not (1 <= j < k <= r):
-                raise StructureError(
-                    "bad space index (%d, %d) for rank %d" % (k, j, r)
-                )
+            nk, nj = _space_shape(partition, k, j)
             if not mats:
                 continue
-            nk, nj = partition.size(k), partition.size(j)
-            frozen = []
+            elements = []
             for idx, mat in enumerate(mats):
                 if len(mat) != nk or any(len(row) != nj for row in mat):
                     raise StructureError(
@@ -98,9 +103,61 @@ class VCollection:
                             raise StructureError(
                                 "non-rational entry in basis of V_%d%d" % (k, j)
                             )
-                frozen.append(tuple(tuple(row) for row in mat))
-            stored[(k, j)] = tuple(frozen)
+                elements.append(kernels.sparse_entries(mat))
+            stored[(k, j)] = tuple(elements)
+        self._store(partition, stored)
+
+    @classmethod
+    def from_entries(cls, partition, entries):
+        """A collection whose basis elements are given by their entries.
+
+        entries maps (k, j) to a list of basis elements, each an iterable of
+        (u, v, value) with 0 <= u < n_k and 0 <= v < n_j; absent positions are
+        zero. This builds no dense matrix, so it serves large constructions.
+        """
+        if not isinstance(partition, BlockPartition):
+            partition = BlockPartition(tuple(partition))
+        stored = {}
+        for (k, j), elements in entries.items():
+            nk, nj = _space_shape(partition, k, j)
+            canonical = []
+            for idx, element in enumerate(elements):
+                seen = {}
+                for u, v, e in element:
+                    inside = (
+                        isinstance(u, int) and isinstance(v, int)
+                        and 0 <= u < nk and 0 <= v < nj
+                    )
+                    if not inside or (u, v) in seen:
+                        raise StructureError(
+                            "basis element %d of V_%d%d has a bad or repeated "
+                            "position (%r, %r)" % (idx + 1, k, j, u, v)
+                        )
+                    if not _is_rational(e):
+                        raise StructureError(
+                            "non-rational entry in basis of V_%d%d" % (k, j)
+                        )
+                    seen[(u, v)] = e
+                canonical.append(
+                    tuple((u, v, e) for (u, v), e in sorted(seen.items()) if e)
+                )
+            if canonical:
+                stored[(k, j)] = tuple(canonical)
+        V = cls.__new__(cls)
+        V._store(partition, stored)
+        return V
+
+    def _store(self, partition, stored):
+        self.partition = partition
         self._bases = stored
+        self._by_row = {
+            key: tuple(kernels.sparse_index(E, True) for E in elements)
+            for key, elements in stored.items()
+        }
+        self._by_col = {
+            key: tuple(kernels.sparse_index(E, False) for E in elements)
+            for key, elements in stored.items()
+        }
         self._solvers = {}
         self._grams = {}
 
@@ -117,8 +174,23 @@ class VCollection:
         """Index pairs with a nonzero-dimensional declared space, sorted."""
         return sorted(self._bases)
 
-    def basis(self, k, j):
+    def entries(self, k, j):
+        """Basis elements of V_kj as tuples of nonzero entries (u, v, value)."""
         return self._bases.get((k, j), ())
+
+    def basis(self, k, j):
+        """Basis of V_kj as dense n_k x n_j nested tuples, rebuilt per call."""
+        elements = self._bases.get((k, j), ())
+        if not elements:
+            return ()
+        nk, nj = self.partition.size(k), self.partition.size(j)
+        out = []
+        for E in elements:
+            M = [[0] * nj for _ in range(nk)]
+            for u, v, e in E:
+                M[u][v] = e
+            out.append(tuple(map(tuple, M)))
+        return tuple(out)
 
     def dim(self, k, j):
         return len(self._bases.get((k, j), ()))
@@ -130,7 +202,8 @@ class VCollection:
         """Span solver for V_kj; building it checks linear independence."""
         key = (k, j)
         if key not in self._solvers:
-            vectors = [linalg.vec_matrix(E) for E in self.basis(k, j)]
+            nj = self.partition.size(j)
+            vectors = [{u * nj + v: e for u, v, e in E} for E in self.entries(k, j)]
             self._solvers[key] = linalg.SpanSolver(vectors, label="V_%d%d" % key)
         return self._solvers[key]
 
@@ -138,26 +211,34 @@ class VCollection:
         """First basis pair (a, b), 1-indexed, of V_kj that breaks (V3).
 
         None when every symmetrized product is scalar; the Gram matrix is then
-        cached, so gram() and is_orthonormal() reuse it.
+        cached, so gram() and is_orthonormal() reuse it. Pairs are tried in
+        the order (1, 1), (1, 2), ..., (1, d), (2, 2), ...
         """
         key = (k, j)
         if key in self._grams:
             return None
-        basis = self.basis(k, j)
-        d = len(basis)
-        G = [[0] * d for _ in range(d)]
+        elements = self.entries(k, j)
+        cols = self._by_col.get(key, ())
+        n = self.partition.size(k)
+        d = len(elements)
+        G = [{} for _ in range(d)]
         for a in range(d):
             for b in range(a, d):
-                c = kernels.sym_pair_scalar(basis[a], basis[b])
+                c = kernels.sparse_sym_pair(elements[a], cols[b], n)
                 if c is None:
                     return (a + 1, b + 1)
-                G[a][b] = c
-                G[b][a] = c
-        self._grams[key] = tuple(tuple(row) for row in G)
+                if c:
+                    G[a][b] = c
+                    G[b][a] = c
+        self._grams[key] = tuple(G)
         return None
 
     def gram(self, k, j):
-        """Gram matrix of the basis of V_kj in the scalar product of (V3)."""
+        """Gram matrix of the basis of V_kj in the scalar product of (V3).
+
+        Row a is a dict {b: value} of its nonzero entries; treat it as
+        read-only.
+        """
         bad = self.v3_violation(k, j)
         if bad is not None:
             raise StructureError(
@@ -170,7 +251,7 @@ class VCollection:
         for k, j in self.spaces():
             G = self.gram(k, j)
             for a, row in enumerate(G):
-                if any(row[b] != (1 if a == b else 0) for b in range(len(row))):
+                if row != {a: 1}:
                     return False
         return True
 
@@ -258,14 +339,10 @@ def block_from_coords(V, k, j, coords):
     """Materialize sum(coords[a] * E_a) as an n_k x n_j matrix."""
     nk, nj = V.partition.size(k), V.partition.size(j)
     out = [[0] * nj for _ in range(nk)]
-    for c, E in zip(coords, V.basis(k, j)):
+    for c, E in zip(coords, V.entries(k, j)):
         if c:
-            for u in range(nk):
-                Eu = E[u]
-                row = out[u]
-                for v in range(nj):
-                    if Eu[v]:
-                        row[v] += c * Eu[v]
+            for u, v, e in E:
+                out[u][v] += c * e
     return out
 
 
@@ -401,10 +478,10 @@ def _bilinear(a, G, b):
     acc = 0
     for u, av in enumerate(a):
         if av:
-            row = G[u]
-            for v, bv in enumerate(b):
-                if bv and row[v]:
-                    acc += av * row[v] * bv
+            for v, g in G[u].items():
+                bv = b[v]
+                if bv:
+                    acc += av * g * bv
     return acc
 
 
@@ -465,24 +542,28 @@ def _product_condition(V, transposed):
     """(V1) on basis elements, or (V2) when transposed.
 
     For i < j < k, (V1) needs X_kj * X_ji in V_ki and (V2) needs
-    X_ki * t(X_ji) in V_kj. The counterexample is (i, j, k, a, b) with a and
-    b the 1-indexed basis elements of the left and right factor.
+    X_ki * t(X_ji) in V_kj. Each product joins the left factor's nonzeros
+    with the row (V1) or column (V2) index of X_ji. The counterexample is
+    (i, j, k, a, b) with a and b the 1-indexed basis elements of the left and
+    right factor.
     """
     # looked up per call, so a wrapper installed on the kernels module is seen
-    mul = kernels.mat_mul_t if transposed else kernels.mat_mul
+    join = kernels.sparse_join
+    right_index = V._by_col if transposed else V._by_row
     for k in range(3, V.r + 1):
         for j in range(2, k):
             for i in range(1, j):
                 left, target = ((k, i), (k, j)) if transposed else ((k, j), (k, i))
-                basis_left = V.basis(*left)
-                basis_ji = V.basis(j, i)
+                basis_left = V.entries(*left)
+                basis_ji = right_index.get((j, i))
                 if not basis_left or not basis_ji:
                     continue
                 solver = V.solver(*target) if V.dim(*target) else None
+                width = V.partition.size(target[1])
                 for a, E in enumerate(basis_left):
                     for b, F in enumerate(basis_ji):
-                        P = linalg.vec_matrix(mul(E, F))
-                        if not (solver.contains(P) if solver else not any(P)):
+                        P = join(E, F, width)
+                        if not (solver.contains(P) if solver else not P):
                             return ConditionReport(False, (i, j, k, a + 1, b + 1))
     return ConditionReport(True)
 

@@ -170,82 +170,89 @@ def solve_linear(A, b):
     return x
 
 
+def _sparse_vector(vector):
+    """A fresh {index: value} of a vector's nonzeros.
+
+    A dict is a sparse vector already (nonzeros only) and is copied as is.
+    """
+    if isinstance(vector, dict):
+        return dict(vector)
+    return {i: x for i, x in enumerate(vector) if x}
+
+
+def _add_multiple(target, f, source):
+    """target += f * source on sparse vectors, dropping entries that cancel."""
+    get = target.get
+    for j, x in source.items():
+        y = get(j, 0) + f * x
+        if y:
+            target[j] = y
+        else:
+            target.pop(j, None)
+
+
 class SpanSolver:
     """Row space of a fixed list of vectors, echelonized once.
 
-    Builds a mutually reduced (Gauss-Jordan) echelon basis with a transform
-    back to the original vectors, so repeated membership queries and
-    coordinate recoveries cost one elimination pass each. A dependent input
+    Builds a mutually reduced (Gauss-Jordan) echelon basis of sparse rows,
+    each pivot taken at the smallest index of the vector as reduced when it
+    is added, together with a transform back to the original vectors, so
+    repeated membership queries and coordinate
+    recoveries cost one elimination pass over the query's nonzeros. Vectors
+    may be dense sequences or sparse {index: value} dicts. A dependent input
     vector is a StructureError: declared bases must be linearly independent.
     """
 
     def __init__(self, vectors, label=""):
         rows = []
         trans = []
-        piv_cols = []
+        pivots = {}
         piv_invs = []
-        count = len(vectors)
         for idx, start in enumerate(vectors):
-            v = list(start)
-            t = [0] * count
-            t[idx] = 1
-            for u in range(len(rows)):
-                c = v[piv_cols[u]]
-                if c:
-                    f = c * piv_invs[u]
-                    row = rows[u]
-                    tu = trans[u]
-                    for j in range(len(v)):
-                        if row[j]:
-                            v[j] -= f * row[j]
-                    for j in range(count):
-                        if tu[j]:
-                            t[j] -= f * tu[j]
-            pc = next((j for j in range(len(v)) if v[j]), None)
-            if pc is None:
+            v = _sparse_vector(start)
+            t = {idx: 1}
+            for col in v.keys() & pivots.keys():
+                u = pivots[col]
+                f = -v[col] * piv_invs[u]
+                _add_multiple(v, f, rows[u])
+                _add_multiple(t, f, trans[u])
+            if not v:
                 raise StructureError(
                     "linearly dependent basis%s (vector %d)"
                     % (" in " + label if label else "", idx + 1)
                 )
-            inv = exact_inv(v[pc])
-            for u in range(len(rows)):
-                c = rows[u][pc]
+            pc = min(v)
+            inv = normalize_rational(exact_inv(v[pc]))
+            for u, row in enumerate(rows):
+                c = row.get(pc)
                 if c:
-                    f = c * inv
-                    row = rows[u]
-                    tu = trans[u]
-                    for j in range(len(v)):
-                        if v[j]:
-                            row[j] -= f * v[j]
-                    for j in range(count):
-                        if t[j]:
-                            tu[j] -= f * t[j]
+                    f = -c * inv
+                    _add_multiple(row, f, v)
+                    _add_multiple(trans[u], f, t)
+            pivots[pc] = len(rows)
             rows.append(v)
             trans.append(t)
-            piv_cols.append(pc)
             piv_invs.append(inv)
         self.rows = rows
         self.trans = trans
-        self.piv_cols = piv_cols
+        self.pivots = pivots
         self.piv_invs = piv_invs
-        self.dim = count
+        self.dim = len(rows)
 
     def solve(self, vector):
         """Coordinates of vector in the original basis, or None if outside."""
-        v = list(vector)
-        coeffs = kernels.reduce_and_collect(v, self.rows, self.piv_cols, self.piv_invs)
-        if any(v):
+        v = _sparse_vector(vector)
+        coeffs = kernels.reduce_and_collect(v, self.rows, self.pivots, self.piv_invs)
+        if v:
             return None
         out = [0] * self.dim
         for u, f in enumerate(coeffs):
             if f:
-                tu = self.trans[u]
-                for a in range(self.dim):
-                    if tu[a]:
-                        out[a] += f * tu[a]
+                for a, x in self.trans[u].items():
+                    out[a] += f * x
         return out
 
     def contains(self, vector):
-        v = list(vector)
-        kernels.reduce_and_collect(v, self.rows, self.piv_cols, self.piv_invs)
-        return not any(v)
+        v = _sparse_vector(vector)
+        kernels.reduce_and_collect(v, self.rows, self.pivots, self.piv_invs)
+        return not v

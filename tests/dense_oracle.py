@@ -1,0 +1,121 @@
+"""Dense reference for verify_v_conditions, used only by the tests.
+
+This is the (V1)-(V3) check as it ran on dense matrices: every product is a
+full dense matrix product, every symmetrized pairing scans every entry, and
+span membership is decided by Gauss-Jordan elimination on dense rows. It
+shares no code with the sparse path except the dense kernels of
+conelab._kernels, which have their own naive references in test_kernels.py.
+"""
+
+from conelab import _kernels as kernels
+from conelab.core import ConditionReport, VerificationReport
+from conelab.errors import StructureError
+from conelab.linalg import exact_inv, vec_matrix
+
+
+class DenseSpan:
+    """Row space of a list of dense vectors, echelonized once."""
+
+    def __init__(self, vectors, label=""):
+        rows = []
+        piv_cols = []
+        piv_invs = []
+        for idx, start in enumerate(vectors):
+            v = list(start)
+            for row, pc, inv in zip(rows, piv_cols, piv_invs):
+                c = v[pc]
+                if c:
+                    f = c * inv
+                    v = [a - f * b for a, b in zip(v, row)]
+            pc = next((j for j in range(len(v)) if v[j]), None)
+            if pc is None:
+                raise StructureError(
+                    "linearly dependent basis%s (vector %d)"
+                    % (" in " + label if label else "", idx + 1)
+                )
+            inv = exact_inv(v[pc])
+            for u, row in enumerate(rows):
+                c = row[pc]
+                if c:
+                    f = c * inv
+                    rows[u] = [a - f * b for a, b in zip(row, v)]
+            rows.append(v)
+            piv_cols.append(pc)
+            piv_invs.append(inv)
+        self.rows = rows
+        self.piv_cols = piv_cols
+        self.piv_invs = piv_invs
+
+    def contains(self, vector):
+        v = list(vector)
+        for row, pc, inv in zip(self.rows, self.piv_cols, self.piv_invs):
+            c = v[pc]
+            if c:
+                f = c * inv
+                v = [a - f * b for a, b in zip(v, row)]
+        return not any(v)
+
+
+def _product_condition(V, spans, transposed):
+    mul = kernels.mat_mul_t if transposed else kernels.mat_mul
+    for k in range(3, V.r + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                left, target = ((k, i), (k, j)) if transposed else ((k, j), (k, i))
+                basis_left = V.basis(*left)
+                basis_ji = V.basis(j, i)
+                if not basis_left or not basis_ji:
+                    continue
+                span = spans.get(target)
+                for a, E in enumerate(basis_left):
+                    for b, F in enumerate(basis_ji):
+                        P = vec_matrix(mul(E, F))
+                        if not (span.contains(P) if span else not any(P)):
+                            return ConditionReport(False, (i, j, k, a + 1, b + 1))
+    return ConditionReport(True)
+
+
+def _gram(V, k, j):
+    """Gram matrix of V_kj, or the first pair (a, b) whose pairing is not scalar."""
+    basis = V.basis(k, j)
+    d = len(basis)
+    G = [[0] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            c = kernels.sym_pair_scalar(basis[a], basis[b])
+            if c is None:
+                return None, (a + 1, b + 1)
+            G[a][b] = G[b][a] = c
+    return G, None
+
+
+def dense_verify(V):
+    """The VerificationReport of verify_v_conditions, computed densely."""
+    spans = {
+        key: DenseSpan([vec_matrix(E) for E in V.basis(*key)], label="V_%d%d" % key)
+        for key in V.spaces()
+    }
+    v3 = ConditionReport(True)
+    grams = []
+    for k, j in V.spaces():
+        G, bad = _gram(V, k, j)
+        if bad is not None:
+            v3 = ConditionReport(False, (k, j, *bad))
+            break
+        grams.append(G)
+    v1 = _product_condition(V, spans, transposed=False)
+    v2 = _product_condition(V, spans, transposed=True)
+    orthonormal = v3.passed and all(
+        G[a][b] == (1 if a == b else 0)
+        for G in grams
+        for a in range(len(G))
+        for b in range(len(G))
+    )
+    return VerificationReport(
+        passed=v1.passed and v2.passed and v3.passed,
+        v1=v1,
+        v2=v2,
+        v3=v3,
+        dims=V.dims_table(),
+        orthonormal=orthonormal,
+    )

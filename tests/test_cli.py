@@ -163,6 +163,27 @@ def test_double_iterate_round_trip(capsys, tmp_path):
     assert V == iterate_construction(3)
 
 
+def test_double_rank_cap_exit_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "r3.json"
+    serialize.dump_file(str(path), serialize.realization_to_dict(iterate_construction(3)))
+    monkeypatch.setenv("CONELAB_RANK_CAP", "3")
+    out_path = tmp_path / "r4.json"
+    code, out, err = run(capsys, "double", "--in", str(path), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert "rank 4 exceeds the cap 3" in err
+    assert not out_path.exists()
+
+
+def test_iterate_verifies_before_writing(capsys, monkeypatch, tmp_path):
+    broken = VCollection(BlockPartition((1, 1, 1)), {(2, 1): [[[1]]], (3, 1): [[[1]]]})
+    monkeypatch.setattr(cli.doubling, "iterate_construction", lambda r: broken)
+    out_path = tmp_path / "r3.json"
+    code, out, err = run(capsys, "iterate", "--rank", "3", "--out", str(out_path))
+    assert code == 3 and out == ""
+    assert "fails (V1)-(V3)" in err
+    assert not out_path.exists()
+
+
 def test_iterate_stdout_without_out_flag(capsys):
     d = run_json(capsys, "iterate", "--rank", "2")
     assert d["partition"] == [2, 1]

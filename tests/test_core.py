@@ -301,19 +301,19 @@ def test_verify_v3_counterexample():
 
 def test_verify_scalar_products_computed_once(monkeypatch):
     # (V3) and the orthonormal flag share one Gram pass: at rank 5 the
-    # spaces have dims 2^(k-j), so sum d(d+1)/2 over them is 250 products
+    # spaces have dims 2^(k-j), so sum d(d+1)/2 over them is 250 pairings
     from conelab import _kernels
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(5)
     calls = []
-    original = _kernels.sym_pair_scalar
+    original = _kernels.sparse_sym_pair
 
-    def counting(X, Y):
+    def counting(X, Y_cols, n):
         calls.append(1)
-        return original(X, Y)
+        return original(X, Y_cols, n)
 
-    monkeypatch.setattr(_kernels, "sym_pair_scalar", counting)
+    monkeypatch.setattr(_kernels, "sparse_sym_pair", counting)
     report = verify_v_conditions(V)
     assert report.passed and report.orthonormal
     assert len(calls) == 250

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conelab.core import BlockPartition, VCollection, verify_v_conditions
@@ -46,6 +48,44 @@ def test_double_requires_valid_input():
     )
     with pytest.raises(StructureError, match="closure"):
         double(bad)
+
+
+def test_double_honours_rank_cap(monkeypatch):
+    monkeypatch.setenv(RANK_CAP_ENV, "3")
+    V3 = iterate_construction(3)
+    with pytest.raises(StructureError, match="rank 4 exceeds the cap 3"):
+        double(V3)
+    assert double(iterate_construction(2)).partition.sizes == (4, 2, 1)
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_construction_restricts_to_previous_rank(r):
+    # blocks 2..r of the rank-r result are the rank-(r-1) result, so one
+    # verification of the rank-r result covers every doubling step
+    V, W = iterate_construction(r), iterate_construction(r - 1)
+    assert V.partition.sizes[1:] == W.partition.sizes
+    assert V.partition.size(1) == 2 * W.partition.size(1)
+    for k, j in W.pairs():
+        assert V.basis(k + 1, j + 1) == W.basis(k, j)
+    assert all(V.dim(k, 1) for k in range(2, r + 1))
+
+
+def test_from_entries_matches_dense_construction():
+    third = Fraction(1, 3)
+    part = BlockPartition((2, 1))
+    dense = VCollection(part, {(2, 1): [[[1, 1]], [[third, 0]]]})
+    # unsorted entries and explicit zeros are canonicalized
+    sparse = VCollection.from_entries(
+        part, {(2, 1): [[(0, 1, 1), (0, 0, 1)], [(0, 0, third), (0, 1, 0)]]}
+    )
+    assert sparse == dense
+    assert sparse.basis(2, 1) == dense.basis(2, 1) == (((1, 1),), ((third, 0),))
+    bad_elements = (
+        [(0, 2, 1)], [(1, 0, 1)], [(0.0, 0, 1)], [(0, 0, 1), (0, 0, 2)], [(0, 0, 0.5)]
+    )
+    for bad in bad_elements:
+        with pytest.raises(StructureError):
+            VCollection.from_entries(part, {(2, 1): [bad]})
 
 
 def test_double_preserves_verification_rank4():

@@ -168,21 +168,65 @@ def test_bareiss_minors_stop_on_zero(kernels):
 
 
 def test_reduce_and_collect_residual_identity(kernels):
-    rows = [[1, 0, 2], [0, 1, -1]]
-    piv_cols = [0, 1]
+    # sparse rows {index: value}, pivots at their smallest index
+    rows = [{0: 1, 2: 2}, {1: 1, 2: -1}]
+    pivots = {0: 0, 1: 1}
     piv_invs = [1, 1]
-    v = [3, 4, 1]
-    coeffs = kernels.reduce_and_collect(v, rows, piv_cols, piv_invs)
+    v = {0: 3, 1: 4, 2: 1}
+    coeffs = kernels.reduce_and_collect(v, rows, pivots, piv_invs)
     assert coeffs == [3, 4]
     # v now holds the residual: original - 3*row0 - 4*row1
-    assert v == [0, 0, 1 - 6 + 4]
+    assert v == {2: 1 - 6 + 4}
 
 
 def test_reduce_and_collect_fraction_pivots(kernels):
-    rows = [[Fraction(2), 0], [0, Fraction(3)]]
+    rows = [{0: Fraction(2)}, {1: Fraction(3)}]
     piv_invs = [Fraction(1, 2), Fraction(1, 3)]
-    v = [Fraction(1), Fraction(1)]
-    coeffs = kernels.reduce_and_collect(v, rows, [0, 1], piv_invs)
+    v = {0: Fraction(1), 1: Fraction(1)}
+    coeffs = kernels.reduce_and_collect(v, rows, {0: 0, 1: 1}, piv_invs)
     assert coeffs == [Fraction(1, 2), Fraction(1, 3)]
-    assert v == [0, 0]
+    assert v == {}
 
+
+def _sparse_rand_matrix(rng, rows, cols):
+    values = (0, 0, 0, 1, -1, 2, Fraction(1, 3))
+    return [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+
+
+def _as_sparse_vector(M):
+    width = len(M[0])
+    return {u * width + v: e for u, row in enumerate(M) for v, e in enumerate(row) if e}
+
+
+def test_sparse_join_matches_naive_products(kernels):
+    rng = random.Random(5)
+    for _ in range(60):
+        n, inner, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A = _sparse_rand_matrix(rng, n, inner)
+        B = _sparse_rand_matrix(rng, inner, m)
+        Bt = _sparse_rand_matrix(rng, m, inner)
+        entries = kernels.sparse_entries(A)
+        assert kernels.sparse_join(
+            entries, kernels.sparse_index(kernels.sparse_entries(B), True), m
+        ) == _as_sparse_vector(naive_mat_mul(A, B))
+        A_tBt = naive_mat_mul(A, [list(col) for col in zip(*Bt)])
+        assert kernels.sparse_join(
+            entries, kernels.sparse_index(kernels.sparse_entries(Bt), False), m
+        ) == _as_sparse_vector(A_tBt)
+
+
+def test_sparse_sym_pair_matches_dense(kernels):
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        X = _sparse_rand_matrix(rng, n, m)
+        # Y = X, -X or noise: scalar and non-scalar pairs
+        Y = rng.choice(
+            (X, [[-e for e in row] for row in X], _sparse_rand_matrix(rng, n, m))
+        )
+        cols = kernels.sparse_index(kernels.sparse_entries(Y), False)
+        got = kernels.sparse_sym_pair(kernels.sparse_entries(X), cols, n)
+        assert got == kernels.sym_pair_scalar(X, Y)
+        seen.add(got is None)
+    assert seen == {True, False}
