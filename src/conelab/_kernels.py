@@ -4,6 +4,12 @@ Scalars are Python ints or fractions.Fraction, never floats. Dense matrices
 are lists (or tuples) of rows; results are always fresh lists. A sparse
 matrix is the tuple of its nonzero entries (u, v, value) in row-major order,
 and a sparse vector is a dict {index: value} holding nonzeros only.
+
+The basis elements of one space share a single index (space_index) from a
+row or column w to the entries of every element on it, tagged with the
+element's number. space_join joins all left elements against such an index
+at once, so the (V1)-(V3) checks form only the pairs of basis elements whose
+product is nonzero.
 """
 
 from fractions import Fraction
@@ -148,51 +154,65 @@ def sparse_entries(M):
     return tuple((u, v, e) for u, row in enumerate(M) for v, e in enumerate(row) if e)
 
 
-def sparse_index(entries, by_row):
-    """Map each row (by_row) or each column of a sparse matrix to its nonzeros.
+def space_index(elements, by_row):
+    """Index the nonzeros of every basis element of one space by row or column.
 
-    by_row maps row w to the pairs (v, value) of row w; otherwise column w
-    maps to the pairs (u, value) of column w. Pairs are tuples.
+    elements are the sparse basis elements of the space, in order. by_row maps
+    row w to the triples (b, v, value) of every entry (w, v, value) of element
+    b; otherwise column w maps to the triples (b, u, value) of every entry
+    (u, w, value). Each triple list is a tuple sorted by b.
     """
     index = {}
-    for u, v, e in entries:
-        if by_row:
-            index.setdefault(u, []).append((v, e))
-        else:
-            index.setdefault(v, []).append((u, e))
-    return {w: tuple(pairs) for w, pairs in index.items()}
+    for b, E in enumerate(elements):
+        for u, v, e in E:
+            if by_row:
+                index.setdefault(u, []).append((b, v, e))
+            else:
+                index.setdefault(v, []).append((b, u, e))
+    return {w: tuple(hits) for w, hits in index.items()}
 
 
-def sparse_join(entries, index, width):
-    """Product of a sparse A with a second factor, joined on A's column index.
+def space_join(left, index, width, upper=False):
+    """Every nonzero product of a left basis element with an indexed one.
 
-    entries are A's nonzeros (u, w, a); index maps w to pairs (v, b). With
-    index = sparse_index(B, by_row=True) the result is A·B, with
-    sparse_index(B, by_row=False) it is A·tB. Returns the product as a sparse
-    vector in row-major order, {u*width + v: value}, without zeros.
+    left are sparse matrices A_a, joined on their column index w against
+    index = space_index(B, ...): with by_row the product of A_a and B_b is
+    A_a·B_b, otherwise it is A_a·tB_b. Yields (a, b, P) for the pairs whose
+    product P is nonzero, in (a, b) order, with P a sparse vector in
+    row-major order, {u*width + v: value}, without zeros. upper forms only
+    the pairs with b >= a. Pairs that are not yielded have a zero product, so
+    the work follows the nonzero output, not the number of pairs.
     """
-    out = {}
-    get = out.get
-    for u, w, a in entries:
-        hits = index.get(w)
-        if hits:
-            base = u * width
-            for v, b in hits:
-                key = base + v
-                out[key] = get(key, 0) + a * b
-    if 0 in out.values():
-        out = {key: x for key, x in out.items() if x}
-    return out
+    for a, A in enumerate(left):
+        products = {}
+        for u, w, x in A:
+            hits = index.get(w)
+            if hits:
+                base = u * width
+                for b, v, y in hits:
+                    if upper and b < a:
+                        continue
+                    P = products.get(b)
+                    if P is None:
+                        products[b] = {base + v: x * y}
+                    else:
+                        key = base + v
+                        P[key] = P.get(key, 0) + x * y
+        for b in sorted(products):
+            P = products[b]
+            if 0 in P.values():
+                P = {key: z for key, z in P.items() if z}
+                if not P:
+                    continue
+            yield a, b, P
 
 
-def sparse_sym_pair(X, Y_cols, n):
-    """sym_pair_scalar over nonzeros: X sparse, Y given by its column index.
+def sym_scalar(S, n):
+    """sym_pair_scalar of a pair from its product S = X·tY, X and Y n-row.
 
-    X and Y are n-row matrices of one shape; Y_cols is
-    sparse_index(Y, by_row=False). Returns c with (X·ᵗY + Y·ᵗX)/2 == c·I,
+    S is a sparse vector {u*n + v: value}. Returns c with (S + tS)/2 == c·I,
     or None if there is no such c.
     """
-    S = sparse_join(X, Y_cols, n)  # S = X·ᵗY; the sum is S + ᵗS
     c = 0
     on_diagonal = 0
     for key, s in S.items():

@@ -77,9 +77,11 @@ class VCollection:
     bases maps (k, j) with 1 <= j < k <= r to a list of n_k x n_j basis
     matrices with rational entries. Missing pairs (or empty lists) declare a
     zero-dimensional space, which is legal. Each basis element is stored once,
-    as its nonzero entries (u, v, value) together with its row and column
-    indexes, which the (V1)-(V3) checks join on; basis() rebuilds the dense
-    matrices. Treat a constructed collection as immutable.
+    as its nonzero entries (u, v, value); basis() rebuilds the dense matrices.
+    The (V1)-(V3) checks join whole spaces on a per-space index from each row
+    or column to the entries of every basis element on it, built on first
+    use, so a collection that is never verified builds none. Treat a
+    constructed collection as immutable.
     """
 
     def __init__(self, partition, bases):
@@ -150,14 +152,7 @@ class VCollection:
     def _store(self, partition, stored):
         self.partition = partition
         self._bases = stored
-        self._by_row = {
-            key: tuple(kernels.sparse_index(E, True) for E in elements)
-            for key, elements in stored.items()
-        }
-        self._by_col = {
-            key: tuple(kernels.sparse_index(E, False) for E in elements)
-            for key, elements in stored.items()
-        }
+        self._indexes = {}
         self._solvers = {}
         self._grams = {}
 
@@ -198,6 +193,13 @@ class VCollection:
     def dims_table(self):
         return DimTable(self.r, {(k, j): self.dim(k, j) for (k, j) in self.pairs()})
 
+    def _index(self, k, j, by_row):
+        """The space_index of V_kj by row or by column, built on first use."""
+        key = (k, j, by_row)
+        if key not in self._indexes:
+            self._indexes[key] = kernels.space_index(self.entries(k, j), by_row)
+        return self._indexes[key]
+
     def solver(self, k, j):
         """Span solver for V_kj; building it checks linear independence."""
         key = (k, j)
@@ -211,25 +213,28 @@ class VCollection:
         """First basis pair (a, b), 1-indexed, of V_kj that breaks (V3).
 
         None when every symmetrized product is scalar; the Gram matrix is then
-        cached, so gram() and is_orthonormal() reuse it. Pairs are tried in
-        the order (1, 1), (1, 2), ..., (1, d), (2, 2), ...
+        cached, so gram() and is_orthonormal() reuse it. One join of the space
+        with its own column index forms the products X_a·tX_b with b >= a that
+        are nonzero, in the order (1, 1), (1, 2), ..., (1, d), (2, 2), ...;
+        a zero product pairs to the scalar 0, so the first failing pair is
+        the first in that order among all pairs.
         """
         key = (k, j)
         if key in self._grams:
             return None
         elements = self.entries(k, j)
-        cols = self._by_col.get(key, ())
         n = self.partition.size(k)
-        d = len(elements)
-        G = [{} for _ in range(d)]
-        for a in range(d):
-            for b in range(a, d):
-                c = kernels.sparse_sym_pair(elements[a], cols[b], n)
-                if c is None:
-                    return (a + 1, b + 1)
-                if c:
-                    G[a][b] = c
-                    G[b][a] = c
+        G = [{} for _ in elements]
+        products = kernels.space_join(
+            elements, self._index(k, j, by_row=False), n, upper=True
+        )
+        for a, b, S in products:
+            c = kernels.sym_scalar(S, n)
+            if c is None:
+                return (a + 1, b + 1)
+            if c:
+                G[a][b] = c
+                G[b][a] = c
         self._grams[key] = tuple(G)
         return None
 
@@ -542,29 +547,27 @@ def _product_condition(V, transposed):
     """(V1) on basis elements, or (V2) when transposed.
 
     For i < j < k, (V1) needs X_kj * X_ji in V_ki and (V2) needs
-    X_ki * t(X_ji) in V_kj. Each product joins the left factor's nonzeros
-    with the row (V1) or column (V2) index of X_ji. The counterexample is
-    (i, j, k, a, b) with a and b the 1-indexed basis elements of the left and
-    right factor.
+    X_ki * t(X_ji) in V_kj. One join per triple forms the nonzero products of
+    the left basis with the row (V1) or column (V2) index of V_ji, in (a, b)
+    order; a zero product lies in every span, so the first failing nonzero
+    product is the first failing pair. The counterexample is (i, j, k, a, b)
+    with a and b the 1-indexed basis elements of the left and right factor.
     """
     # looked up per call, so a wrapper installed on the kernels module is seen
-    join = kernels.sparse_join
-    right_index = V._by_col if transposed else V._by_row
+    join = kernels.space_join
     for k in range(3, V.r + 1):
         for j in range(2, k):
             for i in range(1, j):
                 left, target = ((k, i), (k, j)) if transposed else ((k, j), (k, i))
                 basis_left = V.entries(*left)
-                basis_ji = right_index.get((j, i))
-                if not basis_left or not basis_ji:
+                if not basis_left or not V.dim(j, i):
                     continue
                 solver = V.solver(*target) if V.dim(*target) else None
                 width = V.partition.size(target[1])
-                for a, E in enumerate(basis_left):
-                    for b, F in enumerate(basis_ji):
-                        P = join(E, F, width)
-                        if not (solver.contains(P) if solver else not P):
-                            return ConditionReport(False, (i, j, k, a + 1, b + 1))
+                right = V._index(j, i, by_row=not transposed)
+                for a, b, P in join(basis_left, right, width):
+                    if solver is None or not solver.contains(P):
+                        return ConditionReport(False, (i, j, k, a + 1, b + 1))
     return ConditionReport(True)
 
 

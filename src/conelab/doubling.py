@@ -87,11 +87,12 @@ def iterate_construction(r, cap=None):
     No step verifies its input: the rank-r result restricted to blocks
     2..r is the rank-(r-1) result with every index shifted by one, so one
     verify_v_conditions of the result covers every step, and callers that
-    need the guarantee run it once. The default cap of 13 keeps that
-    verification within about two minutes (`conelab theorem --rank 13` took
-    72 s on a 2-vCPU VM with Python 3.11, and each rank costs about 4x the
-    one before); it can be lifted via the cap argument or the
-    CONELAB_RANK_CAP variable.
+    need the guarantee run it once. The default cap of 13 is set by the
+    dense JSON that `conelab iterate` and `double` write, which grows 4x per
+    rank, not by verification (`conelab theorem --rank 13` took 4.1 s and
+    rank 14 10.5 s on a 2-vCPU VM with Python 3.11, about 2.5x per rank).
+    The cap can be lifted via the cap argument or the CONELAB_RANK_CAP
+    variable.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("rank must be a positive integer")

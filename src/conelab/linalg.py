@@ -208,6 +208,9 @@ class SpanSolver:
         trans = []
         pivots = {}
         piv_invs = []
+        # index -> the rows with a nonzero there, so the back-reduction at a
+        # new pivot visits only the rows it changes
+        holders = {}
         for idx, start in enumerate(vectors):
             v = _sparse_vector(start)
             t = {idx: 1}
@@ -223,13 +226,24 @@ class SpanSolver:
                 )
             pc = min(v)
             inv = normalize_rational(exact_inv(v[pc]))
-            for u, row in enumerate(rows):
-                c = row.get(pc)
-                if c:
-                    f = -c * inv
-                    _add_multiple(row, f, v)
-                    _add_multiple(trans[u], f, t)
-            pivots[pc] = len(rows)
+            for u in holders.pop(pc, ()):
+                row = rows[u]
+                f = -row[pc] * inv
+                for j, x in v.items():
+                    y = row.get(j, 0) + f * x
+                    if y:
+                        if j not in row:
+                            holders.setdefault(j, set()).add(u)
+                        row[j] = y
+                    else:
+                        del row[j]
+                        if j != pc:
+                            holders[j].discard(u)
+                _add_multiple(trans[u], f, t)
+            new = len(rows)
+            for j in v:
+                holders.setdefault(j, set()).add(new)
+            pivots[pc] = new
             rows.append(v)
             trans.append(t)
             piv_invs.append(inv)

@@ -300,23 +300,87 @@ def test_verify_v3_counterexample():
 
 
 def test_verify_scalar_products_computed_once(monkeypatch):
-    # (V3) and the orthonormal flag share one Gram pass: at rank 5 the
-    # spaces have dims 2^(k-j), so sum d(d+1)/2 over them is 250 pairings
+    # (V3) and the orthonormal flag share one Gram pass: one (V3) join per
+    # declared space (10 at rank 5), and gram()/is_orthonormal() reuse it
     from conelab import _kernels
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(5)
     calls = []
-    original = _kernels.sparse_sym_pair
+    original = _kernels.space_join
 
-    def counting(X, Y_cols, n):
-        calls.append(1)
-        return original(X, Y_cols, n)
+    def counting(left, index, width, upper=False):
+        calls.append(upper)
+        return original(left, index, width, upper)
 
-    monkeypatch.setattr(_kernels, "sparse_sym_pair", counting)
+    monkeypatch.setattr(_kernels, "space_join", counting)
     report = verify_v_conditions(V)
     assert report.passed and report.orthonormal
-    assert len(calls) == 250
+    assert calls.count(True) == len(V.spaces()) == 10
+    before = len(calls)
+    for key in V.spaces():
+        V.gram(*key)
+    assert V.is_orthonormal()
+    assert len(calls) == before
+
+
+def _nonzero_products(V):
+    """Nonzero (V1) plus (V2) basis products, by naive all-pairs products."""
+    from conelab._kernels import mat_mul, mat_mul_t
+
+    count = 0
+    for k in range(3, V.r + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                for left, mul in (((k, j), mat_mul), ((k, i), mat_mul_t)):
+                    for E in V.basis(*left):
+                        for F in V.basis(j, i):
+                            count += any(any(row) for row in mul(E, F))
+    return count
+
+
+@pytest.mark.parametrize("rank, nonzero", [(5, 184), (7, 1608)])
+def test_verify_span_queries_follow_nonzero_products(monkeypatch, rank, nonzero):
+    # only nonzero (V1)/(V2) products reach the span solver; at rank 7 the
+    # basis pairs number 7596
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(rank)
+    assert _nonzero_products(V) == nonzero
+    calls = []
+    original = linalg.SpanSolver.contains
+
+    def counting(self, vector):
+        calls.append(1)
+        return original(self, vector)
+
+    monkeypatch.setattr(linalg.SpanSolver, "contains", counting)
+    assert verify_v_conditions(V).passed
+    assert len(calls) == nonzero
+
+
+def test_verify_reports_first_failing_pair_in_order():
+    # V_21 fails (V3) at (1, 2) and (1, 3), V_31 x t(V_21) fails (V2) at
+    # (1, 2) and (1, 3); in both joins the first entry of the left element
+    # meets element 3 before any entry meets element 2
+    from tests.dense_oracle import dense_verify
+
+    V = VCollection(
+        BlockPartition((4, 2, 2)),
+        {
+            (2, 1): [
+                [[1, 0, 0, 0], [0, 1, 0, 0]],
+                [[0, 1, 0, 0], [0, 0, 1, 0]],
+                [[0, 0, 0, 1], [1, 0, 0, 0]],
+            ],
+            (3, 1): [[[0, 0, 0, 1], [0, 0, 1, 0]]],
+            (3, 2): [[[1, 0], [0, 1]]],
+        },
+    )
+    report = verify_v_conditions(V)
+    assert report.v3.counterexample == (2, 1, 1, 2)
+    assert report.v2.counterexample == (1, 2, 3, 1, 2)
+    assert report == dense_verify(V)
 
 
 def test_verify_skewed_basis_passes_but_not_orthonormal():

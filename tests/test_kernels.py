@@ -198,24 +198,59 @@ def _as_sparse_vector(M):
     return {u * width + v: e for u, row in enumerate(M) for v, e in enumerate(row) if e}
 
 
-def test_sparse_join_matches_naive_products(kernels):
+def _naive_pairs(left, right, transposed, upper=False):
+    """{(a, b): nonzero product as a sparse vector} over all basis pairs."""
+    out = {}
+    for a, A in enumerate(left):
+        for b, B in enumerate(right):
+            if upper and b < a:
+                continue
+            if transposed:
+                B = [list(col) for col in zip(*B)]
+            P = _as_sparse_vector(naive_mat_mul(A, B))
+            if P:
+                out[(a, b)] = P
+    return out
+
+
+def _joined(kernels, left, right, transposed, width, upper=False):
+    index = kernels.space_index(
+        [kernels.sparse_entries(B) for B in right], by_row=not transposed
+    )
+    left = [kernels.sparse_entries(A) for A in left]
+    got = [(a, b, P) for a, b, P in kernels.space_join(left, index, width, upper)]
+    assert [(a, b) for a, b, _ in got] == sorted((a, b) for a, b, _ in got)
+    return {(a, b): P for a, b, P in got}
+
+
+def test_space_join_matches_naive_products(kernels):
     rng = random.Random(5)
     for _ in range(60):
         n, inner, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        A = _sparse_rand_matrix(rng, n, inner)
-        B = _sparse_rand_matrix(rng, inner, m)
-        Bt = _sparse_rand_matrix(rng, m, inner)
-        entries = kernels.sparse_entries(A)
-        assert kernels.sparse_join(
-            entries, kernels.sparse_index(kernels.sparse_entries(B), True), m
-        ) == _as_sparse_vector(naive_mat_mul(A, B))
-        A_tBt = naive_mat_mul(A, [list(col) for col in zip(*Bt)])
-        assert kernels.sparse_join(
-            entries, kernels.sparse_index(kernels.sparse_entries(Bt), False), m
-        ) == _as_sparse_vector(A_tBt)
+        left = [_sparse_rand_matrix(rng, n, inner) for _ in range(rng.randint(1, 4))]
+        right = [_sparse_rand_matrix(rng, inner, m) for _ in range(rng.randint(1, 4))]
+        right_t = [_sparse_rand_matrix(rng, m, inner) for _ in right]
+        assert _joined(kernels, left, right, False, m) == _naive_pairs(
+            left, right, False
+        )
+        assert _joined(kernels, left, right_t, True, m) == _naive_pairs(
+            left, right_t, True
+        )
+        # b >= a within one space, as the (V3) pass joins it
+        assert _joined(kernels, left, left, True, n, upper=True) == _naive_pairs(
+            left, left, True, upper=True
+        )
 
 
-def test_sparse_sym_pair_matches_dense(kernels):
+def test_space_join_drops_cancelled_products(kernels):
+    # A_0·B_0 cancels to zero entirely; A_0·B_1 cancels in one entry only
+    left = [[[1, 1], [2, 2]]]
+    right = [[[1, 0], [-1, 0]], [[1, 1], [-1, 1]]]
+    assert _naive_pairs(left, right, False) == {(0, 1): {1: 2, 3: 4}}
+    assert _joined(kernels, left, right, False, 2) == {(0, 1): {1: 2, 3: 4}}
+
+
+def test_sym_scalar_matches_sym_pair_scalar(kernels):
     rng = random.Random(6)
     seen = set()
     for _ in range(300):
@@ -225,8 +260,8 @@ def test_sparse_sym_pair_matches_dense(kernels):
         Y = rng.choice(
             (X, [[-e for e in row] for row in X], _sparse_rand_matrix(rng, n, m))
         )
-        cols = kernels.sparse_index(kernels.sparse_entries(Y), False)
-        got = kernels.sparse_sym_pair(kernels.sparse_entries(X), cols, n)
+        S = _as_sparse_vector(naive_mat_mul(X, [list(col) for col in zip(*Y)]))
+        got = kernels.sym_scalar(S, n)
         assert got == kernels.sym_pair_scalar(X, Y)
         seen.add(got is None)
     assert seen == {True, False}

@@ -148,3 +148,31 @@ def test_span_solver_rejects_dependent_basis():
 def test_span_solver_fraction_basis():
     solver = linalg.SpanSolver([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
     assert solver.solve([1, 2]) == [2, 3]
+
+
+def test_span_solver_random_sparse_bases():
+    # back-reduction fills in entries at later pivots; every row must still
+    # vanish at every other row's pivot, and coordinates must come back exact
+    from tests.dense_oracle import DenseSpan
+
+    rng = random.Random(8)
+    values = (0, 0, 0, 1, -1, 2, Fraction(1, 3))
+    built = 0
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        basis = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        try:
+            solver = linalg.SpanSolver(basis)
+        except StructureError:
+            with pytest.raises(StructureError):
+                DenseSpan(basis)
+            continue
+        built += 1
+        for col, t in solver.pivots.items():
+            assert [u for u, row in enumerate(solver.rows) if row.get(col)] == [t]
+        coords = [rng.choice(values) for _ in basis]
+        combo = [sum(c * v[i] for c, v in zip(coords, basis)) for i in range(n)]
+        assert solver.solve(combo) == coords
+        probe = [rng.choice(values) for _ in range(n)]
+        assert solver.contains(probe) == DenseSpan(basis).contains(probe)
+    assert built > 100
