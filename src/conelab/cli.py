@@ -314,8 +314,8 @@ def build_parser():
     r3sub = r3.add_subparsers(dest="rank3_command", required=True)
 
     p = r3sub.add_parser("family", help="generate a Hurwitz-Radon family for (r,n,n)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank3_family)
 

@@ -42,10 +42,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def kron(A, B):
     """Kronecker product of two row-major matrices."""
     if not A or not B:

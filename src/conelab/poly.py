@@ -129,6 +129,7 @@ def variables(nvars):
 
 
 def pdot(u, v):
+    """Sum of a * b over zip(u, v), on numbers or Polys; 0 when empty."""
     acc = None
     for a, b in zip(u, v):
         acc = a * b if acc is None else acc + a * b
@@ -138,17 +139,3 @@ def pdot(u, v):
 def pnorm2(u):
     return pdot(u, u)
 
-
-def int_mat_apply(A, pvec, nvars=None):
-    """Apply a rational matrix to a vector of polynomials."""
-    if nvars is None:
-        nvars = pvec[0].nvars
-    out = []
-    for row in A:
-        acc = None
-        for a, p in zip(row, pvec):
-            if a:
-                term = p * a
-                acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else Poly(nvars))
-    return out

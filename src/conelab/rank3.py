@@ -11,10 +11,11 @@ yields a rank-3 realization on the partition (n, r, 1) whose elements are
      [tR(y),   x22 I_r, x  ],
      [tz,      tx,      x33]],
 
-with R(y) the n x r matrix whose i-th column is A_i y, plus an explicit
-realization of the dual cone of size 1 + s + n. Closed-form determinants,
-the duality coupling and its Schur-style decomposition, short lists of
-relative invariants, and the four-case degree classification live here too.
+with R(y) the n x r matrix whose i-th column is A_i y. The dual cone (size
+1 + s + n) and every dual object are the primal ones of dual_family(F),
+read with the blocks reversed. Closed-form determinants, the duality
+coupling and its Schur-style decomposition, relative invariants, and the
+four-case degree classification live here too.
 
 The r = 0 degenerate case uses a block-diagonal layout on (s + n, 1, 1)
 instead; the generic layout presumes r >= 1.
@@ -124,6 +125,24 @@ def R_matrix(F, ys):
                     acc = acc + Au[b] * ys[b]
             out[u][i] = acc
     return out
+
+
+def dual_family(F):
+    """The swapped family: r and s exchanged, A'_b[nu][i] = A_i[nu][b].
+
+    Then L'(y) = R(y), R'(x) = L(x), and its relations tR(y)R(y) = |y|^2 I_r
+    hold exactly when F's do (consistency_LR checks the implication). Built
+    from the already-checked F, since for r = 0 it has s' = 0, which the
+    constructor refuses on input. dual_family(dual_family(F)) == F.
+    """
+    cols = [tuple(zip(*A)) for A in F.mats]  # cols[i][b]: column b of A_i
+    G = CompositionFamily.__new__(CompositionFamily)
+    G.r, G.s, G.n = F.s, F.r, F.n
+    G.mats = tuple(
+        tuple(zip(*(c[b] for c in cols))) if F.r else ((),) * F.n
+        for b in range(F.s)
+    )
+    return G
 
 
 # --- generation of square families ------------------------------------------
@@ -313,29 +332,12 @@ def build_rank3_dual(F):
     """Lower realization of the dual cone on the partition (n, s, 1).
 
     The natural dual picture is upper triangular of size 1 + s + n; reversing
-    the block order turns it into an ordinary lower realization, so the same
-    verification and membership machinery applies. Diagonal coordinates are
-    stored reversed: (xi33, xi22, xi11).
+    the block order turns it into the primal realization of dual_family(F),
+    so the same verification and membership machinery applies. Diagonal
+    coordinates are stored reversed: (xi33, xi22, xi11). A broken F is
+    refused with a failing pair of dual_family(F).
     """
-    rep = verify_composition(F)
-    if not rep.passed:
-        raise StructureError(
-            "composition relations fail at pair %r" % (rep.pair,)
-        )
-    bases = {
-        (3, 1): _standard_rows(F.n),
-        (3, 2): _standard_rows(F.s),
-    }
-    if F.r:
-        bases[(2, 1)] = [linalg.transpose(A) for A in F.mats]
-    V = VCollection(BlockPartition((F.n, F.s, 1)), bases)
-    report = verify_v_conditions(V)
-    if not report.passed:
-        raise StructureError(
-            "constructed dual realization fails its closure conditions: %r"
-            % (report,)
-        )
-    return V
+    return build_rank3_cone(dual_family(F))
 
 
 @dataclass(frozen=True)
@@ -506,14 +508,6 @@ def embed_rank3_dual(Xi, F):
 # --- determinants -------------------------------------------------------------
 
 
-def _norm2(vec):
-    return sum(v * v for v in vec)
-
-
-def _dotv(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _Rt_apply(F, ys, zs):
     """tR(y) z, an r-vector bilinear in (y, z); works on numbers or Polys."""
     out = []
@@ -528,73 +522,58 @@ def _Rt_apply(F, ys, zs):
     return out
 
 
-def _Lt_apply(F, xs, zs):
-    """tL(x) z, an s-vector bilinear in (x, z)."""
-    out = [0] * F.s
-    for i, A in enumerate(F.mats):
-        for nu in range(F.n):
-            Anu = A[nu]
-            for b in range(F.s):
-                if Anu[b]:
-                    out[b] = out[b] + Anu[b] * xs[i] * zs[nu]
-    return out
+def _det_factors(F, x11, x22, x33, x, y, z):
+    """Pairs (f, e) with det embed_rank3 = prod f^e, on numbers or Polys.
+
+    Generic layout: (x11, q2, D3) to (n-r-1, r-1, 1) with q2 = x11 x22 - |y|^2
+    and D3 = q2 q3 - |x11 x - tR(y)z|^2, q3 = x11 x33 - |z|^2; for r = n that
+    bracket is divisible by x11 and its cubic quotient is D3. The r = 0 layout
+    is block diagonal: (x11, q2, q3) to (s+n-2, 1, 1). Only dual_family of an
+    r = 0 family has s = 0; there q2 = x11 x22 splits, giving (x11, x22,
+    x11 x22 x33 - x22 |z|^2 - x11 |x|^2) to (n-1, r-1, 1).
+    """
+    r, s, n = F.r, F.s, F.n
+    if s == 0:
+        cubic = x11 * x22 * x33 - x22 * poly.pnorm2(z) - x11 * poly.pnorm2(x)
+        return (x11, n - 1), (x22, r - 1), (cubic, 1)
+    q2 = x11 * x22 - poly.pnorm2(y)
+    q3 = x11 * x33 - poly.pnorm2(z)
+    if r == 0:
+        return (x11, s + n - 2), (q2, 1), (q3, 1)
+    w = _Rt_apply(F, y, z)
+    if r == n:
+        cubic = (
+            x11 * x22 * x33
+            - x22 * poly.pnorm2(z)
+            - x33 * poly.pnorm2(y)
+            - x11 * poly.pnorm2(x)
+            + 2 * poly.pdot(x, w)
+        )
+        return (x11, 0), (q2, r - 1), (cubic, 1)
+    quart = q2 * q3 - poly.pnorm2([x11 * xi - wi for xi, wi in zip(x, w)])
+    return (x11, n - r - 1), (q2, r - 1), (quart, 1)
+
+
+def _det(F, *coords):
+    val = 1
+    for f, e in _det_factors(F, *coords):
+        val = val * f**e
+    return linalg.normalize_rational(val)
 
 
 def det_rank3_closed(X, F):
-    """Closed-form determinant of embed_rank3(X, F).
-
-    Generic layout: x11^(n-r-1) * q2^(r-1) * [q2 q3 - |x11 x - tR(y)z|^2]
-    with q2 = x11 x22 - |y|^2, q3 = x11 x33 - |z|^2. When r = n the bracket
-    is divisible by x11 and the cubic quotient is evaluated instead, so the
-    value is polynomial in every case. The r = 0 layout is block diagonal
-    with determinant x11^(s+n-2) * q2 * q3.
-    """
-    q2 = X.x11 * X.x22 - _norm2(X.y)
-    q3 = X.x11 * X.x33 - _norm2(X.z)
-    if F.r == 0:
-        return linalg.normalize_rational(X.x11 ** (F.s + F.n - 2) * q2 * q3)
-    w = _Rt_apply(F, X.y, X.z)
-    if F.r == F.n:
-        cubic = (
-            X.x11 * X.x22 * X.x33
-            - X.x22 * _norm2(X.z)
-            - X.x33 * _norm2(X.y)
-            - X.x11 * _norm2(X.x)
-            + 2 * _dotv(X.x, w)
-        )
-        val = q2 ** (F.r - 1) * cubic
-    else:
-        quart = q2 * q3 - _norm2([X.x11 * xi - wi for xi, wi in zip(X.x, w)])
-        val = X.x11 ** (F.n - F.r - 1) * q2 ** (F.r - 1) * quart
-    return linalg.normalize_rational(val)
+    """Closed-form determinant of embed_rank3(X, F); see _det_factors."""
+    return _det(F, X.x11, X.x22, X.x33, X.x, X.y, X.z)
 
 
 def det_rank3_dual_closed(Xi, F):
     """Closed-form determinant of embed_rank3_dual(Xi, F).
 
-    Mirror formula: xi33^(n-s-1) * q2^(s-1) * [(xi11 xi33 - |zeta|^2) q2
-    - |xi33 eta - tL(xi) zeta|^2] with q2 = xi22 xi33 - |xi|^2; for s = n the
-    bracket is divisible by xi33 and the cubic quotient is used. Covers r = 0
-    uniformly (empty xi simply drops the L terms).
+    The primal formula of dual_family(F) at (x11, x22, x33, x, y, z) =
+    (xi33, xi22, xi11, eta, xi, zeta): reversing the blocks of the dual
+    matrix gives that family's primal matrix, with the same determinant.
     """
-    q2 = Xi.xi22 * Xi.xi33 - _norm2(Xi.xi)
-    q1 = Xi.xi11 * Xi.xi33 - _norm2(Xi.zeta)
-    u = _Lt_apply(F, Xi.xi, Xi.zeta)
-    if F.s == F.n:
-        cubic = (
-            Xi.xi11 * Xi.xi22 * Xi.xi33
-            + 2 * _dotv(Xi.eta, u)
-            - Xi.xi11 * _norm2(Xi.xi)
-            - Xi.xi22 * _norm2(Xi.zeta)
-            - Xi.xi33 * _norm2(Xi.eta)
-        )
-        val = q2 ** (F.s - 1) * cubic
-    else:
-        quart = q1 * q2 - _norm2(
-            [Xi.xi33 * e - ui for e, ui in zip(Xi.eta, u)]
-        )
-        val = Xi.xi33 ** (F.n - F.s - 1) * q2 ** (F.s - 1) * quart
-    return linalg.normalize_rational(val)
+    return _det(dual_family(F), Xi.xi33, Xi.xi22, Xi.xi11, Xi.eta, Xi.xi, Xi.zeta)
 
 
 # --- duality ------------------------------------------------------------------
@@ -606,9 +585,9 @@ def coupling(X, Xi):
         X.x11 * Xi.xi11
         + X.x22 * Xi.xi22
         + X.x33 * Xi.xi33
-        + 2 * _dotv(X.x, Xi.xi)
-        + 2 * _dotv(X.y, Xi.eta)
-        + 2 * _dotv(X.z, Xi.zeta)
+        + 2 * poly.pdot(X.x, Xi.xi)
+        + 2 * poly.pdot(X.y, Xi.eta)
+        + 2 * poly.pdot(X.z, Xi.zeta)
     )
 
 
@@ -633,20 +612,20 @@ def coupling_decomposition_check(X, Xi, F):
     x11 = X.x11
     if not x11 > 0:
         raise StructureError("x11 must be positive")
-    xt22 = X.x22 - linalg.exact_div(_norm2(X.y), x11)
+    xt22 = X.x22 - linalg.exact_div(poly.pnorm2(X.y), x11)
     if not xt22 > 0:
         raise StructureError("x22 - |y|^2/x11 must be positive")
     xi33 = Xi.xi33
     if not xi33 > 0:
         raise StructureError("xi33 must be positive")
-    xit22 = Xi.xi22 - linalg.exact_div(_norm2(Xi.xi), xi33)
+    xit22 = Xi.xi22 - linalg.exact_div(poly.pnorm2(Xi.xi), xi33)
     if not xit22 > 0:
         raise StructureError("xi22 - |xi|^2/xi33 must be positive")
 
     w = _Rt_apply(F, X.y, X.z)
     xt = [xv - linalg.exact_div(wv, x11) for xv, wv in zip(X.x, w)]
-    xt33 = X.x33 - linalg.exact_div(_norm2(X.z), x11)
-    xdd33 = xt33 - (linalg.exact_div(_norm2(xt), xt22) if r else 0)
+    xt33 = X.x33 - linalg.exact_div(poly.pnorm2(X.z), x11)
+    xdd33 = xt33 - (linalg.exact_div(poly.pnorm2(xt), xt22) if r else 0)
 
     # bordered dual block [[xi22 I_s, tL(xi)], [L(xi), xi33 I_n]]
     big = [[0] * (s + n) for _ in range(s + n)]
@@ -662,30 +641,30 @@ def coupling_decomposition_check(X, Xi, F):
                     big[s + v][b] = big[b][s + v] = L[v][b]
     v_vec = list(Xi.eta) + list(Xi.zeta)
     B = linalg.solve_linear(big, v_vec)
-    xidd11 = Xi.xi11 - _dotv(v_vec, B)
+    xidd11 = Xi.xi11 - poly.pdot(v_vec, B)
 
     u_vec = list(X.y) + list(X.z)
     C = [bv + linalg.exact_div(uv, x11) for bv, uv in zip(B, u_vec)]
-    CXC = _dotv(C, linalg.mat_vec(big, C))
+    CXC = poly.pdot(C, linalg.mat_vec(big, C))
     d = [
         linalg.exact_div(xiv, xi33) + linalg.exact_div(xtv, xt22)
         for xiv, xtv in zip(Xi.xi, xt)
     ]
     rhs = (
         x11 * (xidd11 + CXC)
-        + xt22 * (xit22 + xi33 * _norm2(d))
+        + xt22 * (xit22 + xi33 * poly.pnorm2(d))
         + xdd33 * xi33
     )
     lhs = coupling(X, Xi)
 
-    q2 = x11 * X.x22 - _norm2(X.y)
+    q2 = x11 * X.x22 - poly.pnorm2(X.y)
     if r == 0:
         primal_ok = xdd33 * x11 ** (s + n - 1) * q2 == det_rank3_closed(X, F)
     else:
         primal_ok = (
             xdd33 * x11 ** (n - r) * q2**r == det_rank3_closed(X, F)
         )
-    q2d = Xi.xi22 * xi33 - _norm2(Xi.xi)
+    q2d = Xi.xi22 * xi33 - poly.pnorm2(Xi.xi)
     dual_ok = (
         xidd11 * xi33 ** (n - s) * q2d**s == det_rank3_dual_closed(Xi, F)
     )
@@ -721,66 +700,30 @@ def dual_values(Xi, F):
 def closed_form_invariants(F, which="primal"):
     """Short lists of relative invariants as exact polynomials.
 
-    Primal, over (x11, x22, x33, x, y, z): always (x11, x11 x22 - |y|^2, D3)
-    where D3 is the cubic determinant factor when r = n, the quartic factor
-    when 1 <= r < n, and x11 x33 - |z|^2 when r = 0.
+    Primal, over (x11, x22, x33, x, y, z): the determinant factors
+    (x11, x11 x22 - |y|^2, D3) of _det_factors, where D3 is the cubic factor
+    when r = n, the quartic factor when 1 <= r < n, and x11 x33 - |z|^2 when
+    r = 0.
 
-    Dual, over (xi11, xi22, xi33, xi, eta, zeta), listed with the top degree
-    first: cubic factor when s = n, quartic when s < n (r >= 1); for r = 0
-    the list is (xi11 xi22 xi33 - xi22 |zeta|^2 - xi33 |eta|^2, xi22, xi33).
+    Dual, over (xi11, xi22, xi33, xi, eta, zeta): the primal list of
+    dual_family(F) read as (x11, x22, x33, x, y, z) = (xi33, xi22, xi11,
+    eta, xi, zeta), listed in reverse so the top degree comes first: cubic
+    factor when s = n, quartic when s < n (r >= 1); for r = 0 the list is
+    (xi11 xi22 xi33 - xi22 |zeta|^2 - xi33 |eta|^2, xi22, xi33).
     """
     r, s, n = F.r, F.s, F.n
-    nv = 3 + r + s + n
-    vs = poly.variables(nv)
+    vs = poly.variables(3 + r + s + n)
     a11, a22, a33 = vs[0], vs[1], vs[2]
     xv = vs[3:3 + r]
     yv = vs[3 + r:3 + r + s]
     zv = vs[3 + r + s:]
     if which == "primal":
-        q2 = a11 * a22 - poly.pnorm2(yv)
-        if r == 0:
-            third = a11 * a33 - poly.pnorm2(zv)
-        else:
-            w = _Rt_apply(F, yv, zv)
-            if r == n:
-                third = (
-                    a11 * a22 * a33
-                    - a22 * poly.pnorm2(zv)
-                    - a33 * poly.pnorm2(yv)
-                    - a11 * poly.pnorm2(xv)
-                    + 2 * poly.pdot(xv, w)
-                )
-            else:
-                q3 = a11 * a33 - poly.pnorm2(zv)
-                shifted = [a11 * xi - wi for xi, wi in zip(xv, w)]
-                third = q2 * q3 - poly.pnorm2(shifted)
-        polys = (a11, q2, third)
+        factors = _det_factors(F, a11, a22, a33, xv, yv, zv)
     elif which == "dual":
-        q2 = a22 * a33 - poly.pnorm2(xv)
-        if r == 0:
-            top = (
-                a11 * a22 * a33
-                - a22 * poly.pnorm2(zv)
-                - a33 * poly.pnorm2(yv)
-            )
-            polys = (top, a22, a33)
-        else:
-            u = _Lt_apply(F, xv, zv)
-            if s == n:
-                top = (
-                    a11 * a22 * a33
-                    + 2 * poly.pdot(yv, u)
-                    - a11 * poly.pnorm2(xv)
-                    - a22 * poly.pnorm2(zv)
-                    - a33 * poly.pnorm2(yv)
-                )
-            else:
-                q1 = a11 * a33 - poly.pnorm2(zv)
-                shifted = [a33 * e - ui for e, ui in zip(yv, u)]
-                top = q1 * q2 - poly.pnorm2(shifted)
-            polys = (top, q2, a33)
+        factors = _det_factors(dual_family(F), a33, a22, a11, yv, xv, zv)[::-1]
     else:
         raise StructureError("which must be 'primal' or 'dual'")
+    polys = tuple(f for f, _ in factors)
     return InvariantList(
         kind=which,
         polys=polys,
@@ -847,24 +790,21 @@ def transposed_action_defect(F):
 
 
 def dual_action_defect(F):
-    """|tL(xi) zeta|^2 - |xi|^2 |zeta|^2 as a polynomial in (xi, zeta)."""
-    vs = poly.variables(F.r + F.n)
-    xv = vs[:F.r]
-    zv = vs[F.r:]
-    u = _Lt_apply(F, xv, zv)
-    return poly.pnorm2(u) - poly.pnorm2(xv) * poly.pnorm2(zv)
+    """|tL(xi) zeta|^2 - |xi|^2 |zeta|^2: the primal defect of dual_family(F)."""
+    return transposed_action_defect(dual_family(F))
 
 
 def defect_witness(F, dual=False):
     """A rational witness (u, v, value) with nonzero defect, or None.
 
+    dual=True searches the dual defect, the primal one of dual_family(F).
     The defect is quadratic in each argument separately, so vanishing on the
     grid of unit vectors and pairwise sums forces it to vanish identically;
     the grid search is therefore complete.
     """
-    defect = dual_action_defect(F) if dual else transposed_action_defect(F)
-    a = F.r if dual else F.s
-    b = F.n
+    if dual:
+        F = dual_family(F)
+    defect = transposed_action_defect(F)
 
     def grid(dim):
         pts = []
@@ -880,8 +820,8 @@ def defect_witness(F, dual=False):
                 pts.append(e)
         return pts
 
-    for u in grid(a):
-        for v in grid(b):
+    for u in grid(F.s):
+        for v in grid(F.n):
             val = defect.evaluate(u + v)
             if val != 0:
                 return (tuple(u), tuple(v), val)

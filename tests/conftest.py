@@ -1,13 +1,5 @@
 import pytest
 
-from conelab import _kernels
-
-
-# a single param, so the kernel tests keep their "[python]" ids
-@pytest.fixture(params=[_kernels], ids=["python"], scope="session")
-def kernels(request):
-    return request.param
-
 
 @pytest.fixture(scope="session")
 def fixture_family():

@@ -208,6 +208,19 @@ def test_rank3_family_bound_exit_2(capsys):
     assert "9" in err  # reports the bound that was exceeded
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--r", "0"), ("--r", "-2"), ("--n", "0"), ("--n", "-4")]
+)
+def test_rank3_family_rejects_non_positive_flags(capsys, flag, value):
+    flags = {"--r": "1", "--n": "2", flag: value}
+    code, out, err = run(
+        capsys, "rank3", "family", "--r", flags["--r"], "--n", flags["--n"]
+    )
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
 def test_rank3_verify(capsys, tmp_path):
     _, fam = write_family(tmp_path)
     d = run_json(capsys, "rank3", "verify", "--family", fam)

@@ -8,8 +8,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conelab import _kernels
+
+
+# a single param, so the tests keep their "[python]" ids
+@pytest.fixture(params=[_kernels], ids=["python"], scope="module")
+def kernels(request):
+    return request.param
 
 
 def naive_mat_mul(A, B):

