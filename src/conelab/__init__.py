@@ -1,176 +1,106 @@
-"""Exact arithmetic for matrix realizations of homogeneous convex cones."""
+"""Exact arithmetic for matrix realizations of homogeneous convex cones.
 
-from conelab.backend import backend_name
-from conelab.core import (
-    BlockPartition,
-    ConditionReport,
-    ConeElement,
-    GroupElement,
-    LdlResult,
-    PairingReport,
-    VCollection,
-    VerificationReport,
-    block_from_coords,
-    cone_element,
-    dual_pairing_positive,
-    element_is_zero,
-    embed,
-    embed_group,
-    group_compose,
-    group_element,
-    group_identity,
-    identity_element,
-    inner_product_V,
-    inner_product_space,
-    is_member,
-    ldl_decompose,
-    project,
-    project_group,
-    rho_act,
-    verify_v_conditions,
-)
-from conelab.degrees import (
-    DimTable,
-    SigmaMatrix,
-    SigmaTraceStep,
-    character_exponents,
-    degrees_from_sigma,
-    dual_degrees_rank3,
-    rank3_table,
-    sigma_from_dims,
-)
-from conelab.doubling import DEFAULT_RANK_CAP, double, iterate_construction, rank_cap
-from conelab.errors import (
-    ClosureViolationError,
-    InconsistentDimsError,
-    NotInSpaceError,
-    SerializationError,
-    StructureError,
-)
-from conelab.poly import Poly
-from conelab.rank3 import (
-    Classification,
-    CompositionFamily,
-    CompositionReport,
-    CouplingDecomposition,
-    DualRank3Element,
-    InvarianceReport,
-    InvariantList,
-    LRReport,
-    Rank3Element,
-    build_rank3_cone,
-    build_rank3_dual,
-    bundled_family_3_5_7,
-    classify_degrees,
-    closed_form_invariants,
-    composition_family,
-    consistency_LR,
-    coupling,
-    coupling_decomposition_check,
-    defect_witness,
-    det_rank3_closed,
-    det_rank3_dual_closed,
-    dual_action_defect,
-    dual_from_cone_element,
-    dual_rank3_element,
-    dual_to_cone_element,
-    embed_rank3,
-    embed_rank3_dual,
-    from_cone_element,
-    hurwitz_radon_number,
-    identity_rank3,
-    identity_rank3_dual,
-    rank3_element,
-    relative_invariance_check,
-    to_cone_element,
-    transposed_action_defect,
-    verify_composition,
-)
-from conelab.sampling import RationalSampler
+Each public name is loaded from its module on first access (PEP 562), so
+importing the package loads none of its modules and a program that uses one
+of them pays for what that one imports.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockPartition",
-    "Classification",
-    "ClosureViolationError",
-    "CompositionFamily",
-    "CompositionReport",
-    "ConditionReport",
-    "ConeElement",
-    "CouplingDecomposition",
-    "DEFAULT_RANK_CAP",
-    "DimTable",
-    "DualRank3Element",
-    "GroupElement",
-    "InconsistentDimsError",
-    "InvarianceReport",
-    "InvariantList",
-    "LRReport",
-    "LdlResult",
-    "NotInSpaceError",
-    "PairingReport",
-    "Poly",
-    "Rank3Element",
-    "RationalSampler",
-    "SerializationError",
-    "SigmaMatrix",
-    "SigmaTraceStep",
-    "StructureError",
-    "VCollection",
-    "VerificationReport",
-    "backend_name",
-    "block_from_coords",
-    "build_rank3_cone",
-    "build_rank3_dual",
-    "bundled_family_3_5_7",
-    "character_exponents",
-    "classify_degrees",
-    "closed_form_invariants",
-    "composition_family",
-    "cone_element",
-    "consistency_LR",
-    "coupling",
-    "coupling_decomposition_check",
-    "defect_witness",
-    "degrees_from_sigma",
-    "det_rank3_closed",
-    "det_rank3_dual_closed",
-    "double",
-    "dual_action_defect",
-    "dual_degrees_rank3",
-    "dual_from_cone_element",
-    "dual_pairing_positive",
-    "dual_rank3_element",
-    "dual_to_cone_element",
-    "element_is_zero",
-    "embed",
-    "embed_group",
-    "embed_rank3",
-    "embed_rank3_dual",
-    "from_cone_element",
-    "group_compose",
-    "group_element",
-    "group_identity",
-    "hurwitz_radon_number",
-    "identity_element",
-    "identity_rank3",
-    "identity_rank3_dual",
-    "inner_product_V",
-    "inner_product_space",
-    "is_member",
-    "iterate_construction",
-    "ldl_decompose",
-    "project",
-    "project_group",
-    "rank3_element",
-    "rank3_table",
-    "rank_cap",
-    "relative_invariance_check",
-    "rho_act",
-    "sigma_from_dims",
-    "to_cone_element",
-    "transposed_action_defect",
-    "verify_composition",
-    "verify_v_conditions",
-]
+# public name -> the module of conelab that defines it
+_EXPORTS = {
+    "BlockPartition": "core",
+    "Classification": "rank3",
+    "ClosureViolationError": "errors",
+    "CompositionFamily": "rank3",
+    "CompositionReport": "rank3",
+    "ConditionReport": "core",
+    "ConeElement": "core",
+    "CouplingDecomposition": "rank3",
+    "DEFAULT_RANK_CAP": "doubling",
+    "DimTable": "degrees",
+    "DualRank3Element": "rank3",
+    "GroupElement": "core",
+    "InconsistentDimsError": "errors",
+    "InvarianceReport": "rank3",
+    "InvariantList": "rank3",
+    "LRReport": "rank3",
+    "LdlResult": "core",
+    "NotInSpaceError": "errors",
+    "PairingReport": "core",
+    "Poly": "poly",
+    "Rank3Element": "rank3",
+    "RationalSampler": "sampling",
+    "SerializationError": "errors",
+    "SigmaMatrix": "degrees",
+    "SigmaTraceStep": "degrees",
+    "StructureError": "errors",
+    "VCollection": "core",
+    "VerificationReport": "core",
+    "backend_name": "backend",
+    "block_from_coords": "core",
+    "build_rank3_cone": "rank3",
+    "build_rank3_dual": "rank3",
+    "bundled_family_3_5_7": "rank3",
+    "character_exponents": "degrees",
+    "classify_degrees": "rank3",
+    "closed_form_invariants": "rank3",
+    "composition_family": "rank3",
+    "cone_element": "core",
+    "consistency_LR": "rank3",
+    "coupling": "rank3",
+    "coupling_decomposition_check": "rank3",
+    "defect_witness": "rank3",
+    "degrees_from_sigma": "degrees",
+    "det_rank3_closed": "rank3",
+    "det_rank3_dual_closed": "rank3",
+    "double": "doubling",
+    "dual_action_defect": "rank3",
+    "dual_degrees_rank3": "degrees",
+    "dual_from_cone_element": "rank3",
+    "dual_pairing_positive": "core",
+    "dual_rank3_element": "rank3",
+    "dual_to_cone_element": "rank3",
+    "element_is_zero": "core",
+    "embed": "core",
+    "embed_group": "core",
+    "embed_rank3": "rank3",
+    "embed_rank3_dual": "rank3",
+    "from_cone_element": "rank3",
+    "group_compose": "core",
+    "group_element": "core",
+    "group_identity": "core",
+    "hurwitz_radon_number": "rank3",
+    "identity_element": "core",
+    "identity_rank3": "rank3",
+    "identity_rank3_dual": "rank3",
+    "inner_product_V": "core",
+    "inner_product_space": "core",
+    "is_member": "core",
+    "iterate_construction": "doubling",
+    "ldl_decompose": "core",
+    "project": "core",
+    "project_group": "core",
+    "rank3_element": "rank3",
+    "rank3_table": "degrees",
+    "rank_cap": "doubling",
+    "relative_invariance_check": "rank3",
+    "rho_act": "core",
+    "sigma_from_dims": "degrees",
+    "to_cone_element": "rank3",
+    "transposed_action_defect": "rank3",
+    "verify_composition": "rank3",
+    "verify_v_conditions": "core",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("conelab." + _EXPORTS[name]), name)
+    globals()[name] = value
+    return value

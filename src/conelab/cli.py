@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from conelab import degrees as degrees_mod
-from conelab import doubling, rank3, serialize
+from conelab import doubling, serialize
 from conelab.core import ldl_decompose, verify_v_conditions
 from conelab.errors import (
     ClosureViolationError,
@@ -21,7 +21,6 @@ from conelab.errors import (
     SerializationError,
     StructureError,
 )
-from conelab.sampling import RationalSampler
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -35,6 +34,8 @@ class RunConfig:
     options: dict
 
     def sampler(self):
+        from conelab.sampling import RationalSampler
+
         return RationalSampler(
             seed=self.options.get("seed", 0),
             max_numerator=self.options.get("max_numerator", 100),
@@ -167,12 +168,16 @@ def cmd_verify(cfg):
 
 
 def cmd_rank3_family(cfg):
+    from conelab import rank3
+
     F = rank3.composition_family(cfg.options["r"], cfg.options["n"])
     _emit(serialize.family_to_dict(F), cfg.options.get("out"))
     return EXIT_OK
 
 
 def cmd_rank3_verify(cfg):
+    from conelab import rank3
+
     F = _load_family(cfg.options["family"])
     comp = rank3.verify_composition(F)
     out = {
@@ -194,6 +199,8 @@ def cmd_rank3_verify(cfg):
 
 
 def cmd_rank3_build(cfg):
+    from conelab import rank3
+
     F = _load_family(cfg.options["family"])
     build = rank3.build_rank3_dual if cfg.options.get("dual") else rank3.build_rank3_cone
     _emit(serialize.realization_to_dict(build(F)), cfg.options.get("out"))
@@ -201,6 +208,8 @@ def cmd_rank3_build(cfg):
 
 
 def cmd_rank3_classify(cfg):
+    from conelab import rank3
+
     r, s, n = cfg.options["triple"]
     if min(r, s, n) < 0:
         # negative sizes are malformed input, not a refused classification
@@ -211,6 +220,8 @@ def cmd_rank3_classify(cfg):
 
 
 def cmd_rank3_det(cfg):
+    from conelab import rank3
+
     F = _load_family(cfg.options["family"])
     if cfg.options.get("dual"):
         point = _load(
@@ -241,6 +252,8 @@ def cmd_rank3_det(cfg):
 
 
 def cmd_rank3_duality(cfg):
+    from conelab import rank3
+
     F = _load_family(cfg.options["family"])
     sampler = cfg.sampler()
     count = cfg.options.get("samples", 10)

@@ -77,7 +77,7 @@ class VCollection:
     bases maps (k, j) with 1 <= j < k <= r to a list of n_k x n_j basis
     matrices with rational entries. Missing pairs (or empty lists) declare a
     zero-dimensional space, which is legal. Each basis element is stored once,
-    as its nonzero entries (u, v, value); basis() rebuilds the dense matrices.
+    as its nonzero entries (u, v, value), which entries() returns.
     The (V1)-(V3) checks join whole spaces on a per-space index from each row
     or column to the entries of every basis element on it, built on first
     use, so a collection that is never verified builds none. Treat a
@@ -172,20 +172,6 @@ class VCollection:
     def entries(self, k, j):
         """Basis elements of V_kj as tuples of nonzero entries (u, v, value)."""
         return self._bases.get((k, j), ())
-
-    def basis(self, k, j):
-        """Basis of V_kj as dense n_k x n_j nested tuples, rebuilt per call."""
-        elements = self._bases.get((k, j), ())
-        if not elements:
-            return ()
-        nk, nj = self.partition.size(k), self.partition.size(j)
-        out = []
-        for E in elements:
-            M = [[0] * nj for _ in range(nk)]
-            for u, v, e in E:
-                M[u][v] = e
-            out.append(tuple(map(tuple, M)))
-        return tuple(out)
 
     def dim(self, k, j):
         return len(self._bases.get((k, j), ()))

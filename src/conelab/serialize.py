@@ -3,6 +3,18 @@
 Wire conventions: rationals travel as canonical strings ("5", "-3/7"); plain
 ints are accepted on input but floats never are. Output dicts are plain JSON
 types only, so dumps_canonical (sorted keys) yields stable golden files.
+
+A realization travels densely: each basis element is its flat row-major
+matrix. Both directions work from the nonzero entries. The writer fills a
+list of "0" strings and sets the nonzeros of VCollection.entries; the reader
+skips every exact "0" string, parses the other values and hands the nonzeros
+to VCollection.from_entries, so no dense matrix is built either way.
+
+dumps_canonical writes the same bytes as json.dumps(obj, sort_keys=True,
+indent=2) plus a newline, but it is a small recursive writer: strings go
+through the C string encoder of the json module, ints through int.__repr__,
+and a flat list of strings or ints is joined in one call. json.dumps
+encodes with indent in pure Python, which is several times slower.
 """
 
 import json
@@ -10,8 +22,7 @@ import re
 from fractions import Fraction
 
 from conelab import degrees as degrees_mod
-from conelab import rank3 as rank3_mod
-from conelab.core import BlockPartition, ConeElement, GroupElement, VCollection
+from conelab.core import BlockPartition, VCollection
 from conelab.errors import SerializationError
 from conelab.linalg import normalize_rational
 
@@ -78,9 +89,13 @@ def _parse_index(value, name):
 def realization_to_dict(V):
     spaces = []
     for k, j in V.spaces():
-        basis = [
-            _rat_list(e for row in mat for e in row) for mat in V.basis(k, j)
-        ]
+        nk, nj = V.partition.size(k), V.partition.size(j)
+        basis = []
+        for element in V.entries(k, j):
+            flat = ["0"] * (nk * nj)
+            for u, v, e in element:
+                flat[u * nj + v] = rational_to_str(e)
+            basis.append(flat)
         spaces.append({"k": k, "j": j, "basis": basis})
     return {"partition": list(V.partition.sizes), "spaces": spaces}
 
@@ -92,7 +107,7 @@ def realization_from_dict(d):
     sizes = tuple(_parse_index(n, "partition entry") for n in d["partition"])
     partition = BlockPartition(sizes)
     r = partition.r
-    bases = {}
+    entries = {}
     if not isinstance(d["spaces"], list):
         raise SerializationError("spaces must be a list")
     for entry in d["spaces"]:
@@ -101,24 +116,33 @@ def realization_from_dict(d):
         j = _parse_index(entry["j"], "j")
         if not (1 <= j < k <= r):
             raise SerializationError("bad space index (%d, %d)" % (k, j))
-        if (k, j) in bases:
+        if (k, j) in entries:
             raise SerializationError("duplicate space entry (%d, %d)" % (k, j))
         nk, nj = partition.size(k), partition.size(j)
-        mats = []
+        elements = []
         if not isinstance(entry["basis"], list):
             raise SerializationError("basis of V_%d%d must be a list" % (k, j))
         for flat in entry["basis"]:
-            values = _parse_list(flat, "basis element of V_%d%d" % (k, j))
-            if len(values) != nk * nj:
+            if not isinstance(flat, list):
+                raise SerializationError(
+                    "basis element of V_%d%d must be a list" % (k, j)
+                )
+            nonzero = []
+            # the exact string "0" is the one zero the writer emits; any
+            # other spelling of zero is parsed (and checked) like a nonzero
+            for idx, e in enumerate(flat):
+                if e != "0":
+                    value = parse_rational(e)
+                    if value:
+                        nonzero.append((*divmod(idx, nj), value))
+            if len(flat) != nk * nj:
                 raise SerializationError(
                     "basis element of V_%d%d has %d entries, expected %d"
-                    % (k, j, len(values), nk * nj)
+                    % (k, j, len(flat), nk * nj)
                 )
-            mats.append(
-                tuple(values[i * nj : (i + 1) * nj] for i in range(nk))
-            )
-        bases[(k, j)] = mats
-    return VCollection(partition, bases)
+            elements.append(nonzero)
+        entries[(k, j)] = elements
+    return VCollection.from_entries(partition, entries)
 
 
 # elements
@@ -195,7 +219,9 @@ def family_from_dict(d):
         if not isinstance(mat, list):
             raise SerializationError("A[%d] must be a list of rows" % idx)
         mats.append(tuple(_parse_list(row, "A[%d] row" % idx) for row in mat))
-    return rank3_mod.CompositionFamily(d["r"], d["s"], d["n"], mats)
+    from conelab.rank3 import CompositionFamily
+
+    return CompositionFamily(d["r"], d["s"], d["n"], mats)
 
 
 # rank-3 points
@@ -213,8 +239,10 @@ def point_to_dict(X):
 
 
 def point_from_dict(d, F):
+    from conelab.rank3 import rank3_element
+
     _require_keys(d, ("x11", "x22", "x33"), ("x", "y", "z"), "point")
-    return rank3_mod.rank3_element(
+    return rank3_element(
         F,
         parse_rational(d["x11"]),
         parse_rational(d["x22"]),
@@ -237,8 +265,10 @@ def dual_point_to_dict(Xi):
 
 
 def dual_point_from_dict(d, F):
+    from conelab.rank3 import dual_rank3_element
+
     _require_keys(d, ("xi11", "xi22", "xi33"), ("xi", "eta", "zeta"), "dual point")
-    return rank3_mod.dual_rank3_element(
+    return dual_rank3_element(
         F,
         parse_rational(d["xi11"]),
         parse_rational(d["xi22"]),
@@ -350,17 +380,57 @@ def classification_to_dict(c):
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj, nl):
+    """obj as canonical JSON text; nl is the newline and indent of its line."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        first = type(obj[0])
+        if first is str and all(type(e) is str for e in obj):
+            body = map(_quote, obj)
+        elif first is int and all(type(e) is int for e in obj):
+            body = map(int.__repr__, obj)
+        else:
+            body = [_encode(e, inner) for e in obj]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [_quote(key) + ": " + _encode(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    # bool, None and float; json.dumps raises TypeError on anything else
+    return json.dumps(obj)
+
+
 def dumps_canonical(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for byte.
+
+    Dict keys must be strings (TypeError otherwise); the wire formats use no
+    other kind.
+    """
+    return _encode(obj, "\n") + "\n"
 
 
 def load_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SerializationError("%s: invalid JSON at line %d column %d"
                                  % (path, exc.lineno, exc.colno)) from exc
+    except UnicodeDecodeError as exc:
+        raise SerializationError("%s: not UTF-8 text (byte %d)"
+                                 % (path, exc.start)) from exc
+    except RecursionError as exc:
+        raise SerializationError("%s: JSON nested too deeply" % path) from exc
     except OSError as exc:
         raise SerializationError("%s: %s" % (path, exc.strerror)) from exc
 

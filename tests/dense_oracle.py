@@ -1,16 +1,70 @@
-"""Dense reference for verify_v_conditions, used only by the tests.
+"""Dense references for the sparse paths, used only by the tests.
 
-This is the (V1)-(V3) check as it ran on dense matrices: every product is a
-full dense matrix product, every symmetrized pairing scans every entry, and
-span membership is decided by Gauss-Jordan elimination on dense rows. It
-shares no code with the sparse path except the dense kernels of
+dense_verify is the (V1)-(V3) check as it ran on dense matrices: every
+product is a full dense matrix product, every symmetrized pairing scans every
+entry, and span membership is decided by Gauss-Jordan elimination on dense
+rows. It shares no code with the sparse path except the dense kernels of
 conelab._kernels, which have their own naive references in test_kernels.py.
+
+dense_basis rebuilds the dense basis matrices of one space from its entries,
+and dense_realization_from_dict is the realization reader as it ran before
+it learned to skip zeros: it parses every value and builds dense matrices.
 """
 
 from conelab import _kernels as kernels
-from conelab.core import ConditionReport, VerificationReport
-from conelab.errors import StructureError
+from conelab.core import BlockPartition, ConditionReport, VCollection, VerificationReport
+from conelab.errors import SerializationError, StructureError
 from conelab.linalg import exact_inv, vec_matrix
+from conelab.serialize import _parse_index, _parse_list, _require_keys
+
+
+def dense_basis(V, k, j):
+    """Basis of V_kj as dense n_k x n_j nested tuples."""
+    nk, nj = V.partition.size(k), V.partition.size(j)
+    out = []
+    for E in V.entries(k, j):
+        M = [[0] * nj for _ in range(nk)]
+        for u, v, e in E:
+            M[u][v] = e
+        out.append(tuple(map(tuple, M)))
+    return tuple(out)
+
+
+def dense_realization_from_dict(d):
+    """serialize.realization_from_dict through dense matrices."""
+    _require_keys(d, ("partition", "spaces"), (), "realization")
+    if not isinstance(d["partition"], list) or not d["partition"]:
+        raise SerializationError("partition must be a nonempty list")
+    sizes = tuple(_parse_index(n, "partition entry") for n in d["partition"])
+    partition = BlockPartition(sizes)
+    r = partition.r
+    bases = {}
+    if not isinstance(d["spaces"], list):
+        raise SerializationError("spaces must be a list")
+    for entry in d["spaces"]:
+        _require_keys(entry, ("k", "j", "basis"), (), "space entry")
+        k = _parse_index(entry["k"], "k")
+        j = _parse_index(entry["j"], "j")
+        if not (1 <= j < k <= r):
+            raise SerializationError("bad space index (%d, %d)" % (k, j))
+        if (k, j) in bases:
+            raise SerializationError("duplicate space entry (%d, %d)" % (k, j))
+        nk, nj = partition.size(k), partition.size(j)
+        mats = []
+        if not isinstance(entry["basis"], list):
+            raise SerializationError("basis of V_%d%d must be a list" % (k, j))
+        for flat in entry["basis"]:
+            values = _parse_list(flat, "basis element of V_%d%d" % (k, j))
+            if len(values) != nk * nj:
+                raise SerializationError(
+                    "basis element of V_%d%d has %d entries, expected %d"
+                    % (k, j, len(values), nk * nj)
+                )
+            mats.append(
+                tuple(values[i * nj : (i + 1) * nj] for i in range(nk))
+            )
+        bases[(k, j)] = mats
+    return VCollection(partition, bases)
 
 
 class DenseSpan:
@@ -62,8 +116,8 @@ def _product_condition(V, spans, transposed):
         for j in range(2, k):
             for i in range(1, j):
                 left, target = ((k, i), (k, j)) if transposed else ((k, j), (k, i))
-                basis_left = V.basis(*left)
-                basis_ji = V.basis(j, i)
+                basis_left = dense_basis(V, *left)
+                basis_ji = dense_basis(V, j, i)
                 if not basis_left or not basis_ji:
                     continue
                 span = spans.get(target)
@@ -77,7 +131,7 @@ def _product_condition(V, spans, transposed):
 
 def _gram(V, k, j):
     """Gram matrix of V_kj, or the first pair (a, b) whose pairing is not scalar."""
-    basis = V.basis(k, j)
+    basis = dense_basis(V, k, j)
     d = len(basis)
     G = [[0] * d for _ in range(d)]
     for a in range(d):
@@ -92,7 +146,9 @@ def _gram(V, k, j):
 def dense_verify(V):
     """The VerificationReport of verify_v_conditions, computed densely."""
     spans = {
-        key: DenseSpan([vec_matrix(E) for E in V.basis(*key)], label="V_%d%d" % key)
+        key: DenseSpan(
+            [vec_matrix(E) for E in dense_basis(V, *key)], label="V_%d%d" % key
+        )
         for key in V.spaces()
     }
     v3 = ConditionReport(True)

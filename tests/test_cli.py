@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import conelab
 from conelab import cli, serialize
 from conelab.core import BlockPartition, VCollection, cone_element
 from conelab.doubling import iterate_construction
@@ -360,3 +364,31 @@ def test_point_on_wrong_schema_exit_1(capsys, tmp_path):
     point = tmp_path / "p.json"
     point.write_text(json.dumps({"x11": 1}), encoding="utf-8")
     assert run(capsys, "member", "--cone", cone, "--point", str(point))[0] == 1
+
+
+def run_child(*argv):
+    """conelab.cli in a fresh interpreter, importing this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conelab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "conelab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("utf16.json", b"\xff\xfe{\x00}\x00", "not UTF-8"),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ],
+    ids=["non-utf8", "deeply-nested"],
+)
+def test_unreadable_json_exit_1_without_traceback(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    child = run_child("verify", "--in", str(path))
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.count("\n") == 1 and message in child.stderr
+    assert "Traceback" not in child.stderr

@@ -39,6 +39,7 @@ from conelab.errors import (
     StructureError,
 )
 from conelab.sampling import RationalSampler
+from tests.dense_oracle import dense_basis
 
 
 @pytest.fixture(scope="module")
@@ -333,8 +334,8 @@ def _nonzero_products(V):
         for j in range(2, k):
             for i in range(1, j):
                 for left, mul in (((k, j), mat_mul), ((k, i), mat_mul_t)):
-                    for E in V.basis(*left):
-                        for F in V.basis(j, i):
+                    for E in dense_basis(V, *left):
+                        for F in dense_basis(V, j, i):
                             count += any(any(row) for row in mul(E, F))
     return count
 

@@ -16,7 +16,7 @@ from conelab import rank3
 from conelab.core import VCollection, verify_v_conditions
 from conelab.doubling import iterate_construction
 from conelab.errors import StructureError
-from tests.dense_oracle import dense_verify
+from tests.dense_oracle import dense_basis, dense_verify
 
 VALUES = (0, 1, -1, 2, Fraction(1, 3))
 MUTANTS = 40
@@ -36,7 +36,8 @@ def _source(name):
 
 def _mutants(V, rng):
     bases = {
-        key: [[list(row) for row in E] for E in V.basis(*key)] for key in V.spaces()
+        key: [[list(row) for row in E] for E in dense_basis(V, *key)]
+        for key in V.spaces()
     }
     keys = sorted(bases)
     for _ in range(MUTANTS):

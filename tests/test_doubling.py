@@ -12,13 +12,14 @@ from conelab.doubling import (
     rank_cap,
 )
 from conelab.errors import StructureError
+from tests.dense_oracle import dense_basis
 
 
 def test_double_half_line_gives_omega2():
     V1 = VCollection(BlockPartition((1,)), {})
     V2 = double(V1)
     assert V2.partition.sizes == (2, 1)
-    assert V2.basis(2, 1) == (((1, 0),), ((0, 1),))
+    assert dense_basis(V2, 2, 1) == (((1, 0),), ((0, 1),))
     assert verify_v_conditions(V2).passed
 
 
@@ -28,17 +29,17 @@ def test_double_omega2_structure():
     t = V3.dims_table()
     assert (t.d(2, 1), t.d(3, 1), t.d(3, 2)) == (2, 4, 2)
     # new first column: identity slabs
-    assert V3.basis(2, 1)[0] == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert V3.basis(2, 1)[1] == ((0, 0, 1, 0), (0, 0, 0, 1))
+    assert dense_basis(V3, 2, 1)[0] == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert dense_basis(V3, 2, 1)[1] == ((0, 0, 1, 0), (0, 0, 0, 1))
     # widened copies of the old V_21 rows, left slab then right slab
-    assert V3.basis(3, 1) == (
+    assert dense_basis(V3, 3, 1) == (
         ((1, 0, 0, 0),),
         ((0, 1, 0, 0),),
         ((0, 0, 1, 0),),
         ((0, 0, 0, 1),),
     )
     # the old first column reappears shifted
-    assert V3.basis(3, 2) == (((1, 0),), ((0, 1),))
+    assert dense_basis(V3, 3, 2) == (((1, 0),), ((0, 1),))
 
 
 def test_double_requires_valid_input():
@@ -66,7 +67,7 @@ def test_construction_restricts_to_previous_rank(r):
     assert V.partition.sizes[1:] == W.partition.sizes
     assert V.partition.size(1) == 2 * W.partition.size(1)
     for k, j in W.pairs():
-        assert V.basis(k + 1, j + 1) == W.basis(k, j)
+        assert dense_basis(V, k + 1, j + 1) == dense_basis(W, k, j)
     assert all(V.dim(k, 1) for k in range(2, r + 1))
 
 
@@ -79,7 +80,8 @@ def test_from_entries_matches_dense_construction():
         part, {(2, 1): [[(0, 1, 1), (0, 0, 1)], [(0, 0, third), (0, 1, 0)]]}
     )
     assert sparse == dense
-    assert sparse.basis(2, 1) == dense.basis(2, 1) == (((1, 1),), ((third, 0),))
+    assert dense_basis(sparse, 2, 1) == dense_basis(dense, 2, 1)
+    assert dense_basis(dense, 2, 1) == (((1, 1),), ((third, 0),))
     bad_elements = (
         [(0, 2, 1)], [(1, 0, 1)], [(0.0, 0, 1)], [(0, 0, 1), (0, 0, 2)], [(0, 0, 0.5)]
     )
@@ -142,4 +144,4 @@ def test_double_general_input_not_from_iteration():
     assert report.passed
     assert W.partition.sizes == (4, 2, 1)
     assert W.dims_table().d(3, 1) == 4
-    assert W.basis(3, 2) == (((1, 1),), ((1, 0),))
+    assert dense_basis(W, 3, 2) == (((1, 1),), ((1, 0),))

@@ -1,0 +1,57 @@
+"""The import graph: each entry point loads only the modules it runs.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported every module.
+"""
+
+import os
+import subprocess
+import sys
+
+import conelab
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(conelab.__file__)))
+
+
+def _loaded_after(statement):
+    """Names of the conelab modules loaded by running statement in a child."""
+    code = (
+        "import sys\n%s\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('conelab'))))"
+        % statement
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.split())
+
+
+def test_import_package_loads_no_module():
+    assert _loaded_after("import conelab") == {"conelab"}
+
+
+def test_import_cli_skips_rank3_sampling_and_poly():
+    loaded = _loaded_after("import conelab.cli")
+    assert "conelab.cli" in loaded
+    assert not loaded & {"conelab.rank3", "conelab.sampling", "conelab.poly"}
+
+
+def test_every_public_name_resolves():
+    loaded = _loaded_after(
+        "import conelab\n"
+        "assert conelab.__all__ == sorted(set(conelab.__all__))\n"
+        "for name in conelab.__all__:\n"
+        "    getattr(conelab, name)\n"
+        "from conelab import bundled_family_3_5_7, build_rank3_cone\n"
+        "assert build_rank3_cone(bundled_family_3_5_7()).partition.sizes == (7, 3, 1)\n"
+        "try:\n"
+        "    conelab.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('unknown name resolved')"
+    )
+    assert {"conelab.rank3", "conelab.sampling", "conelab.poly"} <= loaded

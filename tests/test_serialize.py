@@ -1,7 +1,10 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conelab import serialize
 from conelab.core import (
@@ -16,6 +19,7 @@ from conelab.degrees import DimTable, rank3_table, sigma_from_dims
 from conelab.errors import SerializationError
 from conelab.rank3 import classify_degrees
 from conelab.sampling import RationalSampler
+from tests.dense_oracle import dense_basis, dense_realization_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +207,123 @@ def test_load_file_errors(tmp_path):
         serialize.load_file(str(bad))
     with pytest.raises(SerializationError):
         serialize.load_file(str(tmp_path / "missing.json"))
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF)),
+    st.lists(st.text(), max_size=6),
+    st.lists(st.integers(), max_size=6),
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+@example({"a": {}, "b": [], "c": [[], {}], "d": [{}, [[]]]})
+@example(["\x00\x1f\x7f", "é", " ", "\U0001f600", "\ud800", 2**200, -(2**70)])
+@example([1, True, None, 0.5, "x", [1, "1"], {"k": False}])
+@example((1, (2, "3"), []))
+def test_dumps_canonical_matches_json(obj):
+    assert serialize.dumps_canonical(obj) == (
+        json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    )
+
+
+def test_dumps_canonical_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        serialize.dumps_canonical({"b": [Fraction(1, 2)]})
+    with pytest.raises(TypeError):
+        serialize.dumps_canonical({(2, 1): "x"})
+
+
+def _reader_sources():
+    from conelab.doubling import iterate_construction
+    from conelab.rank3 import (
+        CompositionFamily,
+        build_rank3_cone,
+        build_rank3_dual,
+        bundled_family_3_5_7,
+        composition_family,
+    )
+
+    sources = {
+        "doubled-%d" % r: lambda r=r: iterate_construction(r) for r in range(2, 8)
+    }
+    families = {
+        "3_5_7": bundled_family_3_5_7,
+        "8_16": lambda: composition_family(8, 16),
+        "r0_2_3": lambda: CompositionFamily(0, 2, 3, []),
+    }
+    for name, family in families.items():
+        sources[name + "-cone"] = lambda f=family: build_rank3_cone(f())
+        sources[name + "-dual"] = lambda f=family: build_rank3_dual(f())
+    return sources
+
+
+_READER_SOURCES = _reader_sources()
+
+
+def _snapshot(V):
+    return V.partition, {key: V.entries(*key) for key in V.spaces()}
+
+
+@pytest.mark.parametrize("name", sorted(_READER_SOURCES))
+def test_realization_wire_matches_dense_oracle(name):
+    V = _READER_SOURCES[name]()
+    d = serialize.realization_to_dict(V)
+    # the writer fills from entries what the dense basis spells out in full
+    assert d["spaces"] == [
+        {
+            "k": k,
+            "j": j,
+            "basis": [
+                [serialize.rational_to_str(e) for row in M for e in row]
+                for M in dense_basis(V, k, j)
+            ],
+        }
+        for k, j in V.spaces()
+    ]
+    d = json.loads(serialize.dumps_canonical(d))
+    W = serialize.realization_from_dict(d)
+    assert _snapshot(W) == _snapshot(dense_realization_from_dict(d)) == _snapshot(V)
+
+
+def _read_outcome(reader, d):
+    try:
+        return "ok", _snapshot(reader(d))
+    except SerializationError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("name", ["doubled-4", "3_5_7-cone", "r0_2_3-dual"])
+def test_realization_reader_errors_match_dense_oracle(name):
+    good = serialize.realization_to_dict(_READER_SOURCES[name]())
+    flat = good["spaces"][-1]["basis"][0]
+    positions = [flat.index("0"), next(i for i, e in enumerate(flat) if e != "0")]
+    cases = []
+    for idx in positions:
+        for must_fail, values in ((False, ["00", "-0", "0/5", 0]),
+                                  (True, [False, 0.0, "+0", "1/0"])):
+            for value in values:
+                cases.append((must_fail, lambda f, i=idx, v=value: f.__setitem__(i, v)))
+    cases.append((True, lambda f: f.append("0")))
+    cases.append((True, lambda f: f.append("1")))
+    cases.append((True, lambda f: f.pop()))
+    for must_fail, mutate in cases:
+        d = copy.deepcopy(good)
+        mutate(d["spaces"][-1]["basis"][0])
+        outcome = _read_outcome(serialize.realization_from_dict, d)
+        assert outcome == _read_outcome(dense_realization_from_dict, d)
+        assert (outcome[0] == "error") == must_fail
