@@ -57,7 +57,6 @@ _EXPORTS = {
     "det_rank3_closed": "rank3",
     "det_rank3_dual_closed": "rank3",
     "double": "doubling",
-    "dual_action_defect": "rank3",
     "dual_degrees_rank3": "degrees",
     "dual_from_cone_element": "rank3",
     "dual_pairing_positive": "core",

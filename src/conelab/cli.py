@@ -9,7 +9,6 @@ never fail did). Output JSON is canonical: sorted keys, rational strings.
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from conelab import degrees as degrees_mod
 from conelab import doubling, serialize
@@ -246,7 +245,7 @@ def cmd_rank3_det(cfg):
         )
     out = {"det": serialize.rational_to_str(value)}
     if cfg.options.get("approx"):
-        out["det_approx"] = float(Fraction(value))
+        out["det_approx"] = serialize.approx_float(value)
     _emit(out)
     return EXIT_OK
 

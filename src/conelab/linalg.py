@@ -22,10 +22,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(n, m):
-    return [[0] * m for _ in range(n)]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
@@ -46,7 +42,6 @@ def kron(A, B):
     """Kronecker product of two row-major matrices."""
     if not A or not B:
         return []
-    p, q = len(B), len(B[0])
     out = []
     for ra in A:
         for rb in B:

@@ -13,15 +13,17 @@ yields a rank-3 realization on the partition (n, r, 1) whose elements are
 
 with R(y) the n x r matrix whose i-th column is A_i y. The dual cone (size
 1 + s + n) and every dual object are the primal ones of dual_family(F),
-read with the blocks reversed. Closed-form determinants, the duality
-coupling and its Schur-style decomposition, relative invariants, and the
-four-case degree classification live here too.
+read with the blocks reversed; the dual point (xi11, xi22, xi33, xi, eta,
+zeta) is that family's primal point (xi33, xi22, xi11, eta, xi, zeta). Only
+embed_rank3_dual is built on its own, as the oracle of this. Closed-form
+determinants, the duality coupling and its Schur-style decomposition,
+relative invariants, and the four-case degree classification live here too.
 
 The r = 0 degenerate case uses a block-diagonal layout on (s + n, 1, 1)
 instead; the generic layout presumes r >= 1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from conelab import _kernels as kernels
@@ -296,13 +298,22 @@ def _standard_rows(width):
     return [[[int(t == v) for t in range(width)]] for v in range(width)]
 
 
-def build_rank3_cone(F):
-    """The (n, r, 1) lower realization; (s+n, 1, 1) block-diagonal for r = 0."""
+def _require_composition(F):
     rep = verify_composition(F)
     if not rep.passed:
         raise StructureError(
             "composition relations fail at pair %r" % (rep.pair,)
         )
+
+
+def build_rank3_cone(F):
+    """The (n, r, 1) lower realization; (s+n, 1, 1) block-diagonal for r = 0."""
+    _require_composition(F)
+    return _realize(F)
+
+
+def _realize(F):
+    """build_rank3_cone without the composition check; self-checks (V1)-(V3)."""
     if F.r == 0:
         m = F.s + F.n
         bases = {
@@ -334,10 +345,12 @@ def build_rank3_dual(F):
     The natural dual picture is upper triangular of size 1 + s + n; reversing
     the block order turns it into the primal realization of dual_family(F),
     so the same verification and membership machinery applies. Diagonal
-    coordinates are stored reversed: (xi33, xi22, xi11). A broken F is
-    refused with a failing pair of dual_family(F).
+    coordinates are stored reversed: (xi33, xi22, xi11). Only F is checked:
+    the relations of both families say |L(x)y| = |x||y|, so a broken F is
+    refused with F's own failing pair.
     """
-    return build_rank3_cone(dual_family(F))
+    _require_composition(F)
+    return _realize(dual_family(F))
 
 
 @dataclass(frozen=True)
@@ -371,43 +384,47 @@ def _check_vec(name, vec, want):
     return vec
 
 
-def rank3_element(F, x11, x22, x33, x=(), y=(), z=()):
-    if not all(_is_rational(v) for v in (x11, x22, x33)):
+def _checked_point(cls, F, diag, vecs):
+    """cls(*diag, *vecs), the vectors checked for lengths (r, s, n)."""
+    if not all(_is_rational(v) for v in diag):
         raise StructureError("diagonal values must be rational")
-    return Rank3Element(
-        x11,
-        x22,
-        x33,
-        _check_vec("x", x, F.r),
-        _check_vec("y", y, F.s),
-        _check_vec("z", z, F.n),
-    )
+    names = [f.name for f in fields(cls)[3:]]
+    return cls(*diag, *map(_check_vec, names, vecs, (F.r, F.s, F.n)))
+
+
+def rank3_element(F, x11, x22, x33, x=(), y=(), z=()):
+    return _checked_point(Rank3Element, F, (x11, x22, x33), (x, y, z))
 
 
 def dual_rank3_element(F, xi11, xi22, xi33, xi=(), eta=(), zeta=()):
-    if not all(_is_rational(v) for v in (xi11, xi22, xi33)):
-        raise StructureError("diagonal values must be rational")
-    return DualRank3Element(
-        xi11,
-        xi22,
-        xi33,
-        _check_vec("xi", xi, F.r),
-        _check_vec("eta", eta, F.s),
-        _check_vec("zeta", zeta, F.n),
-    )
+    return _checked_point(DualRank3Element, F, (xi11, xi22, xi33), (xi, eta, zeta))
 
 
 def identity_rank3(F):
-    return rank3_element(F, 1, 1, 1, (0,) * F.r, (0,) * F.s, (0,) * F.n)
+    return rank3_element(F, 1, 1, 1)
 
 
 def identity_rank3_dual(F):
-    return dual_rank3_element(F, 1, 1, 1, (0,) * F.r, (0,) * F.s, (0,) * F.n)
+    return dual_rank3_element(F, 1, 1, 1)
+
+
+# A dual point of F is the primal point of dual_family(F) whose matrix is its
+# own with the blocks reversed.
+
+
+def _as_primal(Xi):
+    return Rank3Element(Xi.xi33, Xi.xi22, Xi.xi11, Xi.eta, Xi.xi, Xi.zeta)
+
+
+def _as_dual(X):
+    return DualRank3Element(X.x33, X.x22, X.x11, X.y, X.x, X.z)
 
 
 def to_cone_element(X, F, V):
     """Rank3Element -> ConeElement of build_rank3_cone(F)."""
-    off = {(2, 1): X.y, (3, 1): X.z}
+    off = {(3, 1): X.z}
+    if F.s:
+        off[(2, 1)] = X.y
     if F.r:
         off[(3, 2)] = X.x
     return cone_element(V, (X.x11, X.x22, X.x33), off)
@@ -416,33 +433,20 @@ def to_cone_element(X, F, V):
 def from_cone_element(e, F):
     return rank3_element(
         F,
-        e.diag[0],
-        e.diag[1],
-        e.diag[2],
+        *e.diag,
         e.off.get((3, 2), ()),
-        e.off[(2, 1)],
+        e.off.get((2, 1), ()),
         e.off[(3, 1)],
     )
 
 
 def dual_to_cone_element(Xi, F, Vd):
     """DualRank3Element -> ConeElement of build_rank3_dual(F); diag reversed."""
-    off = {(3, 1): Xi.zeta, (3, 2): Xi.eta}
-    if F.r:
-        off[(2, 1)] = Xi.xi
-    return cone_element(Vd, (Xi.xi33, Xi.xi22, Xi.xi11), off)
+    return to_cone_element(_as_primal(Xi), dual_family(F), Vd)
 
 
 def dual_from_cone_element(e, F):
-    return dual_rank3_element(
-        F,
-        e.diag[2],
-        e.diag[1],
-        e.diag[0],
-        e.off.get((2, 1), ()),
-        e.off[(3, 2)],
-        e.off[(3, 1)],
-    )
+    return _as_dual(from_cone_element(e, dual_family(F)))
 
 
 def embed_rank3(X, F):
@@ -573,7 +577,7 @@ def det_rank3_dual_closed(Xi, F):
     (xi33, xi22, xi11, eta, xi, zeta): reversing the blocks of the dual
     matrix gives that family's primal matrix, with the same determinant.
     """
-    return _det(dual_family(F), Xi.xi33, Xi.xi22, Xi.xi11, Xi.eta, Xi.xi, Xi.zeta)
+    return det_rank3_closed(_as_primal(Xi), dual_family(F))
 
 
 # --- duality ------------------------------------------------------------------
@@ -627,19 +631,11 @@ def coupling_decomposition_check(X, Xi, F):
     xt33 = X.x33 - linalg.exact_div(poly.pnorm2(X.z), x11)
     xdd33 = xt33 - (linalg.exact_div(poly.pnorm2(xt), xt22) if r else 0)
 
-    # bordered dual block [[xi22 I_s, tL(xi)], [L(xi), xi33 I_n]]
-    big = [[0] * (s + n) for _ in range(s + n)]
-    for b in range(s):
-        big[b][b] = Xi.xi22
-    for v in range(n):
-        big[s + v][s + v] = xi33
-    if r:
-        L = L_matrix(F, Xi.xi)
-        for v in range(n):
-            for b in range(s):
-                if L[v][b]:
-                    big[s + v][b] = big[b][s + v] = L[v][b]
-    v_vec = list(Xi.eta) + list(Xi.zeta)
+    # the dual matrix is [[xi11, t(eta, zeta)], [(eta, zeta), big]] with the
+    # bordered block big = [[xi22 I_s, tL(xi)], [L(xi), xi33 I_n]]
+    head, *rest = embed_rank3_dual(Xi, F)
+    big = [row[1:] for row in rest]
+    v_vec = head[1:]
     B = linalg.solve_linear(big, v_vec)
     xidd11 = Xi.xi11 - poly.pdot(v_vec, B)
 
@@ -687,14 +683,10 @@ class InvariantList:
     degrees: tuple
 
 
-def primal_values(X, F):
-    """Evaluation order (x11, x22, x33, x*, y*, z*)."""
-    return [X.x11, X.x22, X.x33, *X.x, *X.y, *X.z]
-
-
-def dual_values(Xi, F):
-    """Evaluation order (xi11, xi22, xi33, xi*, eta*, zeta*)."""
-    return [Xi.xi11, Xi.xi22, Xi.xi33, *Xi.xi, *Xi.eta, *Xi.zeta]
+def primal_values(X, F=None):
+    """Field order: (x11, x22, x33, x*, y*, z*), or (xi11, ..., zeta*)."""
+    a11, a22, a33, *vecs = (getattr(X, f.name) for f in fields(X))
+    return [a11, a22, a33, *(v for vec in vecs for v in vec)]
 
 
 def closed_form_invariants(F, which="primal"):
@@ -750,10 +742,8 @@ def relative_invariance_check(F, invariants, sigma, sampler, samples=10):
     dual = invariants.kind == "dual"
     V = build_rank3_dual(F) if dual else build_rank3_cone(F)
     polys = tuple(reversed(invariants.polys)) if dual else invariants.polys
-    if dual:
-        to_vals = lambda e: dual_values(dual_from_cone_element(e, F), F)
-    else:
-        to_vals = lambda e: primal_values(from_cone_element(e, F), F)
+    from_cone = dual_from_cone_element if dual else from_cone_element
+    to_vals = lambda e: primal_values(from_cone(e, F))
     checked = 0
     for _ in range(samples):
         h = sampler.group_element(V)
@@ -789,21 +779,14 @@ def transposed_action_defect(F):
     return poly.pnorm2(w) - poly.pnorm2(yv) * poly.pnorm2(zv)
 
 
-def dual_action_defect(F):
-    """|tL(xi) zeta|^2 - |xi|^2 |zeta|^2: the primal defect of dual_family(F)."""
-    return transposed_action_defect(dual_family(F))
-
-
-def defect_witness(F, dual=False):
+def defect_witness(F):
     """A rational witness (u, v, value) with nonzero defect, or None.
 
-    dual=True searches the dual defect, the primal one of dual_family(F).
-    The defect is quadratic in each argument separately, so vanishing on the
-    grid of unit vectors and pairwise sums forces it to vanish identically;
-    the grid search is therefore complete.
+    The dual defect |tL(xi) zeta|^2 - |xi|^2 |zeta|^2 is the one of
+    dual_family(F). The defect is quadratic in each argument separately, so
+    vanishing on the grid of unit vectors and pairwise sums forces it to
+    vanish identically; the grid search is therefore complete.
     """
-    if dual:
-        F = dual_family(F)
     defect = transposed_action_defect(F)
 
     def grid(dim):

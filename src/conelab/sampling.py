@@ -66,27 +66,15 @@ class RationalSampler:
 
     # rank-3 conveniences; V arguments avoid rebuilding realizations in loops
 
+    def _rank3_point(self, build, F):
+        diag = [self.rational() for _ in range(3)]
+        return build(F, *diag, self.vector(F.r), self.vector(F.s), self.vector(F.n))
+
     def rank3_element(self, F):
-        return rank3.rank3_element(
-            F,
-            self.rational(),
-            self.rational(),
-            self.rational(),
-            self.vector(F.r),
-            self.vector(F.s),
-            self.vector(F.n),
-        )
+        return self._rank3_point(rank3.rank3_element, F)
 
     def dual_rank3_element(self, F):
-        return rank3.dual_rank3_element(
-            F,
-            self.rational(),
-            self.rational(),
-            self.rational(),
-            self.vector(F.r),
-            self.vector(F.s),
-            self.vector(F.n),
-        )
+        return self._rank3_point(rank3.dual_rank3_element, F)
 
     def interior_rank3(self, F, V=None):
         V = V if V is not None else rank3.build_rank3_cone(F)

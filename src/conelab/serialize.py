@@ -19,6 +19,8 @@ encodes with indent in pure Python, which is several times slower.
 
 import json
 import re
+import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from conelab import degrees as degrees_mod
@@ -27,6 +29,14 @@ from conelab.errors import SerializationError
 from conelab.linalg import normalize_rational
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+def _too_long(what):
+    # Python refuses int/str conversions beyond this many digits (ValueError)
+    return SerializationError(
+        "%s more than %d digits, Python's int/str conversion limit"
+        " (set by PYTHONINTMAXSTRDIGITS)" % (what, sys.get_int_max_str_digits())
+    )
 
 
 def parse_rational(value):
@@ -42,18 +52,34 @@ def parse_rational(value):
     if isinstance(value, str):
         if not _RAT_RE.match(value):
             raise SerializationError("malformed rational %r" % (value,))
-        if "/" in value:
-            num, den = value.split("/")
-            return normalize_rational(Fraction(int(num), int(den)))
-        return int(value)
+        try:
+            if "/" in value:
+                num, den = value.split("/")
+                return normalize_rational(Fraction(int(num), int(den)))
+            return int(value)
+        except ValueError as exc:
+            raise _too_long("rational with") from exc
     raise SerializationError("expected a rational string or int, got %r" % (value,))
 
 
 def rational_to_str(value):
     value = normalize_rational(value)
-    if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
-    return str(value)
+    try:
+        if isinstance(value, Fraction):
+            return "%d/%d" % (value.numerator, value.denominator)
+        return str(value)
+    except ValueError as exc:
+        raise _too_long("cannot write a value of") from exc
+
+
+def approx_float(value):
+    """float(value), refused when value is beyond the float range."""
+    try:
+        return float(Fraction(value))
+    except OverflowError as exc:
+        raise SerializationError(
+            "cannot approximate a value beyond the float range"
+        ) from exc
 
 
 def _rat_list(values):
@@ -228,55 +254,35 @@ def family_from_dict(d):
 
 
 def point_to_dict(X):
-    return {
-        "x11": rational_to_str(X.x11),
-        "x22": rational_to_str(X.x22),
-        "x33": rational_to_str(X.x33),
-        "x": _rat_list(X.x),
-        "y": _rat_list(X.y),
-        "z": _rat_list(X.z),
-    }
+    """The named coordinates of a Rank3Element or a DualRank3Element."""
+    names = [f.name for f in fields(X)]
+    out = {k: rational_to_str(getattr(X, k)) for k in names[:3]}
+    out.update((k, _rat_list(getattr(X, k))) for k in names[3:])
+    return out
+
+
+dual_point_to_dict = point_to_dict
+
+
+def _point_from_dict(d, F, cls, build, where):
+    names = [f.name for f in fields(cls)]
+    _require_keys(d, names[:3], names[3:], where)
+    diag = [parse_rational(d[k]) for k in names[:3]]
+    dims = (F.r, F.s, F.n)
+    vecs = [_parse_list(d.get(k, [0] * m), k) for k, m in zip(names[3:], dims)]
+    return build(F, *diag, *vecs)
 
 
 def point_from_dict(d, F):
-    from conelab.rank3 import rank3_element
+    from conelab.rank3 import Rank3Element, rank3_element
 
-    _require_keys(d, ("x11", "x22", "x33"), ("x", "y", "z"), "point")
-    return rank3_element(
-        F,
-        parse_rational(d["x11"]),
-        parse_rational(d["x22"]),
-        parse_rational(d["x33"]),
-        _parse_list(d.get("x", [0] * F.r), "x"),
-        _parse_list(d.get("y", [0] * F.s), "y"),
-        _parse_list(d.get("z", [0] * F.n), "z"),
-    )
-
-
-def dual_point_to_dict(Xi):
-    return {
-        "xi11": rational_to_str(Xi.xi11),
-        "xi22": rational_to_str(Xi.xi22),
-        "xi33": rational_to_str(Xi.xi33),
-        "xi": _rat_list(Xi.xi),
-        "eta": _rat_list(Xi.eta),
-        "zeta": _rat_list(Xi.zeta),
-    }
+    return _point_from_dict(d, F, Rank3Element, rank3_element, "point")
 
 
 def dual_point_from_dict(d, F):
-    from conelab.rank3 import dual_rank3_element
+    from conelab.rank3 import DualRank3Element, dual_rank3_element
 
-    _require_keys(d, ("xi11", "xi22", "xi33"), ("xi", "eta", "zeta"), "dual point")
-    return dual_rank3_element(
-        F,
-        parse_rational(d["xi11"]),
-        parse_rational(d["xi22"]),
-        parse_rational(d["xi33"]),
-        _parse_list(d.get("xi", [0] * F.r), "xi"),
-        _parse_list(d.get("eta", [0] * F.s), "eta"),
-        _parse_list(d.get("zeta", [0] * F.n), "zeta"),
-    )
+    return _point_from_dict(d, F, DualRank3Element, dual_rank3_element, "dual point")
 
 
 # dimension tables and sigma output
@@ -365,7 +371,7 @@ def ldl_to_dict(result, approx=False):
     if result.unit is not None:
         out["unit"] = group_to_dict(result.unit)
     if approx:
-        out["pivots_approx"] = [float(Fraction(p)) for p in result.pivots]
+        out["pivots_approx"] = [approx_float(p) for p in result.pivots]
     return out
 
 
@@ -431,6 +437,9 @@ def load_file(path):
                                  % (path, exc.start)) from exc
     except RecursionError as exc:
         raise SerializationError("%s: JSON nested too deeply" % path) from exc
+    except ValueError as exc:
+        # after its subclasses above: what is left is an over-long integer
+        raise _too_long("%s: integer with" % path) from exc
     except OSError as exc:
         raise SerializationError("%s: %s" % (path, exc.strerror)) from exc
 

@@ -392,3 +392,60 @@ def test_unreadable_json_exit_1_without_traceback(tmp_path, name, content, messa
     assert child.stdout == ""
     assert child.stderr.count("\n") == 1 and message in child.stderr
     assert "Traceback" not in child.stderr
+
+
+_LONG = "7" * 5000  # over Python's default 4300-digit int/str limit
+_LIMIT = "more than 4300 digits"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [(_LONG, "integer with " + _LIMIT), ('"%s"' % _LONG, "rational with " + _LIMIT)],
+    ids=["json-int", "rational-string"],
+)
+def test_over_long_integer_input_exit_1(tmp_path, entry, message):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"partition": [1, 1], "spaces": [{"k": 2, "j": 1, "basis": [[%s]]}]}'
+        % entry,
+        encoding="utf-8",
+    )
+    child = run_child("verify", "--in", str(path))
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.count("\n") == 1 and message in child.stderr
+    assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize(
+    "digits, flags, message",
+    [
+        # det is a product of 11 diagonal entries: over 4300 digits
+        (1000, (), "cannot write a value of " + _LIMIT),
+        # about 3300 digits: writable, but beyond the float range
+        (300, ("--approx",), "beyond the float range"),
+    ],
+    ids=["exact", "approx"],
+)
+def test_rank3_det_too_large_to_write_exit_1(tmp_path, digits, flags, message):
+    _, fam = write_family(tmp_path)
+    point = tmp_path / "pt.json"
+    big = "9" * digits
+    point.write_text(json.dumps({"x11": big, "x22": big, "x33": big}), encoding="utf-8")
+    child = run_child("rank3", "det", "--family", fam, "--point", str(point), *flags)
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.count("\n") == 1 and message in child.stderr
+    assert "Traceback" not in child.stderr
+
+
+def test_rank3_build_dual_refuses_broken_family(capsys, tmp_path):
+    F, _ = write_family(tmp_path)
+    d = serialize.family_to_dict(F)
+    d["A"][1][0][0] = "1"  # the pair (1, 2) relation of F no longer holds
+    fam = tmp_path / "broken.json"
+    serialize.dump_file(str(fam), d)
+    for side in ((), ("--dual",)):
+        code, out, err = run(capsys, "rank3", "build", "--family", str(fam), *side)
+        assert code == 2 and out == ""
+        assert "pair (1, 2)" in err

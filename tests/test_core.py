@@ -440,7 +440,7 @@ def _rebuild(res, V):
     part = V.partition
     N = part.total
     U = embed_group(res.unit, V)
-    D = linalg.zeros(N, N)
+    D = [[0] * N for _ in range(N)]
     for i in range(1, part.r + 1):
         for t in range(part.size(i)):
             D[part.offset(i) + t][part.offset(i) + t] = res.pivots[i - 1]

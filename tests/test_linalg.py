@@ -14,7 +14,6 @@ def _rand_frac(rng):
 
 def test_identity_zeros_transpose():
     assert linalg.identity(2) == [[1, 0], [0, 1]]
-    assert linalg.zeros(2, 3) == [[0, 0, 0], [0, 0, 0]]
     assert linalg.transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
 
 

@@ -30,11 +30,10 @@ from conelab.rank3 import (
     defect_witness,
     det_rank3_closed,
     det_rank3_dual_closed,
-    dual_action_defect,
     dual_family,
+    dual_from_cone_element,
     dual_rank3_element,
     dual_to_cone_element,
-    dual_values,
     embed_rank3,
     embed_rank3_dual,
     from_cone_element,
@@ -57,6 +56,14 @@ def _family(r, n):
 
 def _zero_family(s, n):
     return CompositionFamily(0, s, n, [])
+
+
+# r = s = n, the bundled (3, 5, 7) and an r = 0 family (whose swap has s = 0)
+_CASE_FAMILIES = {
+    "square": lambda: _family(2, 2),
+    "fixture": bundled_family_3_5_7,
+    "r0": lambda: _zero_family(2, 3),
+}
 
 
 # Hurwitz-Radon arithmetic
@@ -269,7 +276,8 @@ def test_dual_family_is_a_composition_family(name):
     F = _SWAP_FAMILIES[name]()
     D = dual_family(F)
     assert (D.r, D.s, D.n) == (F.s, F.r, F.n)
-    assert verify_composition(D).passed
+    # build_rank3_dual checks F only: D passes exactly when F does
+    assert verify_composition(F).passed and verify_composition(D).passed
     assert consistency_LR(D).passed
     assert dual_family(D) == F
 
@@ -283,6 +291,27 @@ def test_dual_family_swaps_L_and_R(name):
     ys = [rng.randint(-5, 5) for _ in range(F.s)]
     assert L_matrix(D, ys) == R_matrix(F, ys)
     assert R_matrix(D, xs) == L_matrix(F, xs)
+
+
+def _bumped(F, i, u, v):
+    mats = [list(map(list, A)) for A in F.mats]
+    mats[i][u][v] += 1
+    return CompositionFamily(F.r, F.s, F.n, mats)
+
+
+def test_broken_family_fails_on_both_sides(fixture_family):
+    F = fixture_family
+    bad = _bumped(F, 1, 0, 0)
+    assert verify_composition(bad).pair == (1, 2)
+    assert verify_composition(dual_family(bad)).pair == (1, 1)
+    with pytest.raises(StructureError, match=r"pair \(1, 2\)"):
+        build_rank3_dual(bad)
+    for i in range(F.r):
+        for u in range(F.n):
+            for v in range(F.s):
+                bad = _bumped(F, i, u, v)
+                assert not verify_composition(bad).passed
+                assert not verify_composition(dual_family(bad)).passed
 
 
 @pytest.mark.parametrize("name", list(_SWAP_FAMILIES))
@@ -311,11 +340,12 @@ def test_embed_rank3_agrees_with_realization(fixture_family):
         assert embed_rank3(X, F) == embed(to_cone_element(X, F, V), V)
 
 
-def test_embed_rank3_dual_is_reversed_realization(fixture_family):
+@pytest.mark.parametrize("name", list(_CASE_FAMILIES))
+def test_embed_rank3_dual_is_reversed_realization(name):
     # the display layout reverses the block order of the stored realization
     # (order inside each block kept), so dets and spectra agree
     sampler = RationalSampler(seed=32)
-    F = fixture_family
+    F = _CASE_FAMILIES[name]()
     s, n = F.s, F.n
     Vd = build_rank3_dual(F)
     N = Vd.partition.total
@@ -331,21 +361,30 @@ def test_embed_rank3_dual_is_reversed_realization(fixture_family):
         assert linalg.det_exact(display) == linalg.det_exact(stored)
 
 
-def test_round_trip_elements(fixture_family):
+@pytest.mark.parametrize("name", list(_CASE_FAMILIES))
+def test_round_trip_elements(name):
     sampler = RationalSampler(seed=33)
-    F = fixture_family
+    F = _CASE_FAMILIES[name]()
     V = build_rank3_cone(F)
     Vd = build_rank3_dual(F)
     for _ in range(5):
         X = sampler.rank3_element(F)
         assert from_cone_element(to_cone_element(X, F, V), F) == X
         Xi = sampler.dual_rank3_element(F)
-        assert dual_to_cone_element(Xi, F, Vd) and dual_to_cone_element(
-            Xi, F, Vd
-        ).diag == (Xi.xi33, Xi.xi22, Xi.xi11)
-        from conelab.rank3 import dual_from_cone_element
+        e = dual_to_cone_element(Xi, F, Vd)
+        assert e.diag == (Xi.xi33, Xi.xi22, Xi.xi11)
+        assert dual_from_cone_element(e, F) == Xi
 
-        assert dual_from_cone_element(dual_to_cone_element(Xi, F, Vd), F) == Xi
+
+def test_sampler_rank3_draws_are_pinned():
+    # a seed fixes the draws: three diagonal values, then the vectors of
+    # lengths r, s, n, in the same order for both kinds of point
+    F = _family(1, 2)
+    sampler = RationalSampler(seed=0, max_numerator=9, max_denominator=1)
+    assert sampler.rank3_element(F) == rank3_element(F, 3, -8, 7, (3,), (6, 9), (7, 0))
+    assert sampler.dual_rank3_element(F) == dual_rank3_element(
+        F, -6, 8, 0, (-7,), (6, 2), (1, 8)
+    )
 
 
 def test_element_builders_validate(fixture_family):
@@ -504,13 +543,8 @@ def test_invariant_degrees_by_case(fixture_family):
     assert closed_form_invariants(_zero_family(2, 3), "dual").degrees == (3, 1, 1)
 
 
-# r = s = n, the bundled (3, 5, 7) and an r = 0 family; each test below gives
-# the exponents of the three listed invariants in the determinant
-_FACTOR_FAMILIES = {
-    "square": lambda: _family(2, 2),
-    "fixture": bundled_family_3_5_7,
-    "r0": lambda: _zero_family(2, 3),
-}
+# each test below gives the exponents of the three listed invariants of a
+# _CASE_FAMILIES family in the determinant
 
 
 @pytest.mark.parametrize(
@@ -521,7 +555,7 @@ _FACTOR_FAMILIES = {
 def test_invariants_evaluate_to_det_factors(name, exps):
     # det X = x11^(n-r-1) * D2^(r-1) * D3 for 1 <= r < n, D2^(r-1) * D3 for
     # r = n, and x11^(s+n-2) * D2 * D3 in the block-diagonal r = 0 layout
-    F = _FACTOR_FAMILIES[name]()
+    F = _CASE_FAMILIES[name]()
     inv = closed_form_invariants(F)
     sampler = RationalSampler(seed=40, max_numerator=7, max_denominator=3)
     for _ in range(5):
@@ -540,12 +574,12 @@ def test_invariants_evaluate_to_det_factors(name, exps):
 def test_dual_invariants_evaluate_to_det_factors(name, exps):
     # listed top degree first: det Xi = top * q2^(s-1) * xi33^(n-s-1), with
     # xi33^0 for s = n; for r = 0 the list (top, xi22, xi33) has (1, s-1, n-1)
-    F = _FACTOR_FAMILIES[name]()
+    F = _CASE_FAMILIES[name]()
     inv = closed_form_invariants(F, "dual")
     sampler = RationalSampler(seed=41, max_numerator=7, max_denominator=3)
     for _ in range(5):
         Xi = sampler.dual_rank3_element(F)
-        vals = dual_values(Xi, F)
+        vals = primal_values(Xi, F)
         d1, d2, d3 = (p.evaluate(vals) for p in inv.polys)
         e1, e2, e3 = exps
         assert d1**e1 * d2**e2 * d3**e3 == linalg.det_exact(embed_rank3_dual(Xi, F))
@@ -630,27 +664,32 @@ def test_relative_invariance_case4():
 # defects and splitting
 
 
+# the dual defect |tL(xi) zeta|^2 - |xi|^2 |zeta|^2 is the primal one of
+# dual_family(F)
+
+
 def test_defects_vanish_iff_square():
     F = _family(2, 2)  # r = s = n
     assert transposed_action_defect(F).is_zero()
-    assert dual_action_defect(F).is_zero()
+    assert transposed_action_defect(dual_family(F)).is_zero()
     assert defect_witness(F) is None
-    assert defect_witness(F, dual=True) is None
+    assert defect_witness(dual_family(F)) is None
 
 
 def test_defects_case2():
     F = _family(1, 2)  # r < s = n: dual defect zero, primal defect not
-    assert dual_action_defect(F).is_zero()
+    assert transposed_action_defect(dual_family(F)).is_zero()
     assert not transposed_action_defect(F).is_zero()
     w = defect_witness(F)
     assert w is not None and w[2] != 0
 
 
 def test_defects_case3(fixture_family):
+    D = dual_family(fixture_family)
     assert not transposed_action_defect(fixture_family).is_zero()
-    assert not dual_action_defect(fixture_family).is_zero()
+    assert not transposed_action_defect(D).is_zero()
     assert defect_witness(fixture_family) is not None
-    assert defect_witness(fixture_family, dual=True) is not None
+    assert defect_witness(D) is not None
 
 
 def test_defect_witness_values_check_out(fixture_family):
