@@ -10,6 +10,11 @@ row or column w to the entries of every element on it, tagged with the
 element's number. space_join joins all left elements against such an index
 at once, so the (V1)-(V3) checks form only the pairs of basis elements whose
 product is nonzero.
+
+A span is a list of mutually reduced (Gauss-Jordan) sparse rows: each row is
+zero at every other row's pivot. span_contains decides membership from the
+query's values at the pivots without changing the query; reduce_and_collect
+also returns the multipliers, for coordinate recovery.
 """
 
 from fractions import Fraction
@@ -227,6 +232,42 @@ def sym_scalar(S, n):
     if on_diagonal and on_diagonal != n:
         return None
     return c
+
+
+def span_contains(v, rows, pivots, piv_invs):
+    """Whether the sparse vector v lies in the span of mutually reduced rows.
+
+    rows, pivots and piv_invs are as for reduce_and_collect. Row t is the only
+    row that is nonzero at its pivot, so a member of the span is
+    sum(c_t * rows[t]) with c_t = v[pivot_t] * piv_invs[t], and c_t is nonzero
+    exactly at the pivots in v's support. v is a member iff it equals that
+    combination; v is read, never changed, and no multiplier is kept.
+    """
+    combo = None
+    get_row = pivots.get
+    for col, x in v.items():
+        t = get_row(col)
+        if t is None:
+            continue
+        f = x * piv_invs[t]
+        row = rows[t]
+        if combo is None:
+            # a first row with multiplier 1 is compared as it is, not copied
+            shared = f == 1
+            combo = row if shared else {j: f * y for j, y in row.items()}
+            continue
+        if shared:
+            combo = dict(combo)
+            shared = False
+        get = combo.get
+        for j, y in row.items():
+            combo[j] = get(j, 0) + f * y
+    if combo is None:
+        return not v
+    if len(combo) == len(v):
+        return combo == v
+    # only entries that cancelled to zero can make combo the longer one
+    return len(combo) > len(v) and {j: y for j, y in combo.items() if y} == v
 
 
 def reduce_and_collect(v, rows, pivots, piv_invs):

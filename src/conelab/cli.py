@@ -89,6 +89,11 @@ def _load_family(path):
     return _load(path, serialize.family_from_dict, "family")
 
 
+# sigma --family-dims R takes time and output that grow about as R^3:
+# R = 100 writes about 10 MB in under a second.
+MAX_FAMILY_DIMS = 100
+
+
 def _extremal_dims(r):
     return degrees_mod.DimTable(
         r, {(k, j): 2 ** (k - j) for k in range(2, r + 1) for j in range(1, k)}
@@ -96,8 +101,15 @@ def _extremal_dims(r):
 
 
 def cmd_sigma(cfg):
-    if cfg.options.get("family_dims") is not None:
-        table = _extremal_dims(cfg.options["family_dims"])
+    r = cfg.options.get("family_dims")
+    if r is not None:
+        if r > MAX_FAMILY_DIMS:
+            print(
+                "error: --family-dims %d exceeds the limit of %d" % (r, MAX_FAMILY_DIMS),
+                file=sys.stderr,
+            )
+            return EXIT_INPUT
+        table = _extremal_dims(r)
     else:
         table = _load(cfg.options["dims"], serialize.dims_from_dict, "dims")
     sigma = degrees_mod.sigma_from_dims(table)

@@ -145,6 +145,16 @@ class VCollection:
                 )
             if canonical:
                 stored[(k, j)] = tuple(canonical)
+        return cls._from_canonical(partition, stored)
+
+    @classmethod
+    def _from_canonical(cls, partition, stored):
+        """A collection that takes over already canonical entries unchecked.
+
+        stored maps each (k, j) of a nonzero-dimensional space to a tuple of
+        basis elements, each a tuple of in-range (u, v, value) in row-major
+        order with rational nonzero values: the form from_entries produces.
+        """
         V = cls.__new__(cls)
         V._store(partition, stored)
         return V
@@ -191,7 +201,8 @@ class VCollection:
         key = (k, j)
         if key not in self._solvers:
             nj = self.partition.size(j)
-            vectors = [{u * nj + v: e for u, v, e in E} for E in self.entries(k, j)]
+            # fresh dicts: the solver takes each over as one of its rows
+            vectors = ({u * nj + v: e for u, v, e in E} for E in self.entries(k, j))
             self._solvers[key] = linalg.SpanSolver(vectors, label="V_%d%d" % key)
         return self._solvers[key]
 

@@ -19,27 +19,33 @@ RANK_CAP_ENV = "CONELAB_RANK_CAP"
 
 
 def _double_unchecked(V):
-    """The rank-raising step on basis entries, without verifying V."""
+    """The rank-raising step on basis entries, without verifying V.
+
+    The result is canonical by construction, so it is stored unchecked: V's
+    elements are canonical, shifting every column of one element by the same
+    slab offset (0 or n_1, below 2 n_1) keeps it in range and row-major
+    sorted, and no value is new.
+    """
     part = V.partition
     n1 = part.size(1)
     sizes = (2 * n1,) + part.sizes
-    entries = {
-        (2, 1): [
+    stored = {
+        (2, 1): tuple(
             tuple((t, half * n1 + t, 1) for t in range(n1)) for half in range(2)
-        ]
+        )
     }
     for k in range(2, part.r + 1):
         old = V.entries(k, 1)
         if old:
             # (E 0) then (0 E): the same entries in the left or right slab
-            entries[(k + 1, 1)] = [
+            stored[(k + 1, 1)] = tuple(
                 tuple((u, half * n1 + v, e) for u, v, e in E)
                 for half in range(2)
                 for E in old
-            ]
+            )
     for (k, j) in V.spaces():
-        entries[(k + 1, j + 1)] = V.entries(k, j)
-    return VCollection.from_entries(BlockPartition(sizes), entries)
+        stored[(k + 1, j + 1)] = V.entries(k, j)
+    return VCollection._from_canonical(BlockPartition(sizes), stored)
 
 
 def double(V):
@@ -87,12 +93,13 @@ def iterate_construction(r, cap=None):
     No step verifies its input: the rank-r result restricted to blocks
     2..r is the rank-(r-1) result with every index shifted by one, so one
     verify_v_conditions of the result covers every step, and callers that
-    need the guarantee run it once. The default cap of 13 is set by the
-    dense JSON that `conelab iterate` and `double` write, which grows 4x per
-    rank, not by verification (`conelab theorem --rank 13` took 4.1 s and
-    rank 14 10.5 s on a 2-vCPU VM with Python 3.11, about 2.5x per rank).
-    The cap can be lifted via the cap argument or the CONELAB_RANK_CAP
-    variable.
+    need the guarantee run it once. Each step stores its entries unchecked
+    (see _double_unchecked), so building rank 7 takes about 0.3 ms and rank
+    10 about 2 ms. The default cap of 13 is set by the dense JSON that
+    `conelab iterate` and `double` write, which grows 4x per rank, not by
+    verification (`conelab theorem --rank 13` took 1.4-1.8 s and rank 14
+    3.1-3.7 s on a 2-vCPU VM with Python 3.11, about 2.1x per rank). The
+    cap can be lifted via the cap argument or the CONELAB_RANK_CAP variable.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("rank must be a positive integer")

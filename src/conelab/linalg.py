@@ -187,11 +187,16 @@ class SpanSolver:
 
     Builds a mutually reduced (Gauss-Jordan) echelon basis of sparse rows,
     each pivot taken at the smallest index of the vector as reduced when it
-    is added, together with a transform back to the original vectors, so
-    repeated membership queries and coordinate
-    recoveries cost one elimination pass over the query's nonzeros. Vectors
-    may be dense sequences or sparse {index: value} dicts. A dependent input
-    vector is a StructureError: declared bases must be linearly independent.
+    is added, together with a transform back to the original vectors.
+    Vectors may be dense sequences or sparse {index: value} dicts of
+    nonzeros. A dict given to the constructor becomes a row and is changed in
+    place, so each row is built once; pass dicts that nothing else holds. A
+    dependent input vector is a StructureError: declared bases must be
+    linearly independent.
+
+    contains reads a query's coefficients off its values at the pivots and
+    neither copies nor changes it; solve costs one elimination pass over a
+    copy of the query's nonzeros.
     """
 
     def __init__(self, vectors, label=""):
@@ -199,11 +204,11 @@ class SpanSolver:
         trans = []
         pivots = {}
         piv_invs = []
-        # index -> the rows with a nonzero there, so the back-reduction at a
-        # new pivot visits only the rows it changes
+        # non-pivot index -> the rows with a nonzero there, so the
+        # back-reduction at a new pivot visits only the rows it changes
         holders = {}
         for idx, start in enumerate(vectors):
-            v = _sparse_vector(start)
+            v = start if isinstance(start, dict) else _sparse_vector(start)
             t = {idx: 1}
             for col in v.keys() & pivots.keys():
                 u = pivots[col]
@@ -216,7 +221,8 @@ class SpanSolver:
                     % (" in " + label if label else "", idx + 1)
                 )
             pc = min(v)
-            inv = normalize_rational(exact_inv(v[pc]))
+            p = v[pc]
+            inv = normalize_rational(p if p == 1 or p == -1 else exact_inv(p))
             for u in holders.pop(pc, ()):
                 row = rows[u]
                 f = -row[pc] * inv
@@ -224,16 +230,21 @@ class SpanSolver:
                     y = row.get(j, 0) + f * x
                     if y:
                         if j not in row:
-                            holders.setdefault(j, set()).add(u)
+                            holders.setdefault(j, []).append(u)
                         row[j] = y
                     else:
                         del row[j]
                         if j != pc:
-                            holders[j].discard(u)
+                            holders[j].remove(u)
                 _add_multiple(trans[u], f, t)
             new = len(rows)
             for j in v:
-                holders.setdefault(j, set()).add(new)
+                if j != pc:
+                    hs = holders.get(j)
+                    if hs is None:
+                        holders[j] = [new]
+                    else:
+                        hs.append(new)
             pivots[pc] = new
             rows.append(v)
             trans.append(t)
@@ -258,6 +269,7 @@ class SpanSolver:
         return out
 
     def contains(self, vector):
-        v = _sparse_vector(vector)
-        kernels.reduce_and_collect(v, self.rows, self.pivots, self.piv_invs)
-        return not v
+        """Whether vector lies in the span; a dict vector is left unchanged."""
+        if not isinstance(vector, dict):
+            vector = _sparse_vector(vector)
+        return kernels.span_contains(vector, self.rows, self.pivots, self.piv_invs)

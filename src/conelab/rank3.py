@@ -23,6 +23,7 @@ The r = 0 degenerate case uses a block-diagonal layout on (s + n, 1, 1)
 instead; the generic layout presumes r >= 1.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -409,7 +410,15 @@ def identity_rank3_dual(F):
 
 
 # A dual point of F is the primal point of dual_family(F) whose matrix is its
-# own with the blocks reversed.
+# own with the blocks reversed. The point conversions read only the shape
+# (r, s, n) of a family, so they get the swapped shape, not dual_family(F).
+
+
+_Shape = namedtuple("_Shape", "r s n")
+
+
+def _dual_shape(F):
+    return _Shape(F.s, F.r, F.n)
 
 
 def _as_primal(Xi):
@@ -442,11 +451,11 @@ def from_cone_element(e, F):
 
 def dual_to_cone_element(Xi, F, Vd):
     """DualRank3Element -> ConeElement of build_rank3_dual(F); diag reversed."""
-    return to_cone_element(_as_primal(Xi), dual_family(F), Vd)
+    return to_cone_element(_as_primal(Xi), _dual_shape(F), Vd)
 
 
 def dual_from_cone_element(e, F):
-    return _as_dual(from_cone_element(e, dual_family(F)))
+    return _as_dual(from_cone_element(e, _dual_shape(F)))
 
 
 def embed_rank3(X, F):

@@ -45,6 +45,17 @@ def test_sigma_family_dims(capsys):
     assert [s["i"] for s in d["trace"]["steps"]] == [1, 2, 3]
 
 
+def test_sigma_family_dims_limit(capsys, monkeypatch):
+    limit = cli.MAX_FAMILY_DIMS
+    code, out, err = run(capsys, "sigma", "--family-dims", str(limit + 1))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and str(limit) in err
+    assert "Traceback" not in err
+    monkeypatch.setattr(cli, "MAX_FAMILY_DIMS", 4)
+    assert run_json(capsys, "sigma", "--family-dims", "4")["degrees"] == [1, 2, 4, 8]
+    assert run(capsys, "sigma", "--family-dims", "5")[0] == 1
+
+
 def test_sigma_dims_file(capsys, tmp_path):
     path = tmp_path / "dims.json"
     path.write_text(

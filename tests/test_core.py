@@ -360,6 +360,30 @@ def test_verify_span_queries_follow_nonzero_products(monkeypatch, rank, nonzero)
     assert len(calls) == nonzero
 
 
+@pytest.mark.parametrize(
+    "r, queries", [(2, 0), (3, 8), (4, 48), (5, 184), (6, 576), (7, 1608), (8, 4176)]
+)
+def test_verify_query_and_solver_counts(monkeypatch, r, queries):
+    # one span query per nonzero (V1)/(V2) product, one solver per space
+    from conelab.doubling import iterate_construction
+
+    counts = {"init": 0, "contains": 0}
+    init, contains = linalg.SpanSolver.__init__, linalg.SpanSolver.contains
+
+    def counting_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_contains(self, vector):
+        counts["contains"] += 1
+        return contains(self, vector)
+
+    monkeypatch.setattr(linalg.SpanSolver, "__init__", counting_init)
+    monkeypatch.setattr(linalg.SpanSolver, "contains", counting_contains)
+    assert verify_v_conditions(iterate_construction(r)).passed
+    assert counts == {"init": r * (r - 1) // 2, "contains": queries}
+
+
 def test_verify_reports_first_failing_pair_in_order():
     # V_21 fails (V3) at (1, 2) and (1, 3), V_31 x t(V_21) fails (V2) at
     # (1, 2) and (1, 3); in both joins the first entry of the left element

@@ -71,6 +71,21 @@ def test_construction_restricts_to_previous_rank(r):
     assert all(V.dim(k, 1) for k in range(2, r + 1))
 
 
+@pytest.mark.parametrize("r", range(1, 10))
+def test_doubling_stores_canonical_entries(r):
+    # _double_unchecked stores its entries without from_entries' checks
+    V = iterate_construction(r)
+    entries = {key: V.entries(*key) for key in V.spaces()}
+    assert VCollection.from_entries(V.partition, entries) == V
+    for (k, j), elements in entries.items():
+        nk, nj = V.partition.size(k), V.partition.size(j)
+        for E in elements:
+            positions = [(u, v) for u, v, _ in E]
+            assert positions == sorted(set(positions))
+            assert all(0 <= u < nk and 0 <= v < nj for u, v in positions)
+            assert all(type(e) is int and e for _, _, e in E)
+
+
 def test_from_entries_matches_dense_construction():
     third = Fraction(1, 3)
     part = BlockPartition((2, 1))

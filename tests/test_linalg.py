@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conelab import linalg
 from conelab.errors import StructureError
@@ -174,3 +176,43 @@ def test_span_solver_random_sparse_bases():
         probe = [rng.choice(values) for _ in range(n)]
         assert solver.contains(probe) == DenseSpan(basis).contains(probe)
     assert built > 100
+
+
+_SPAN_VALUES = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)))
+
+
+@st.composite
+def _span_cases(draw):
+    # every vector draws from the same indexes, so supports overlap and the
+    # back-reduction fills in; Fraction values give Fraction pivots
+    n = draw(st.integers(1, 7))
+    vector = st.lists(_SPAN_VALUES, min_size=n, max_size=n)
+    basis = draw(st.lists(vector, min_size=1, max_size=n))
+    coords = draw(st.lists(_SPAN_VALUES, min_size=len(basis), max_size=len(basis)))
+    at = draw(st.integers(0, n - 1))
+    bump = draw(st.sampled_from((1, -1, Fraction(1, 2))))
+    return basis, coords, at, bump
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_cases())
+def test_span_solver_contains_matches_dense_oracle(case):
+    from tests.dense_oracle import DenseSpan
+
+    basis, coords, at, bump = case
+    try:
+        oracle = DenseSpan(basis)
+    except StructureError:
+        assume(False)
+    solver = linalg.SpanSolver(basis)
+    member = [sum(c * v[i] for c, v in zip(coords, basis)) for i in range(len(basis[0]))]
+    bumped = list(member)
+    bumped[at] += bump
+    for probe in (member, bumped):
+        expected = oracle.contains(probe)
+        assert solver.contains(probe) == expected
+        sparse = {i: x for i, x in enumerate(probe) if x}
+        before = dict(sparse)
+        assert solver.contains(sparse) == expected
+        assert sparse == before
+    assert solver.contains(member)
