@@ -15,6 +15,11 @@ A span is a list of mutually reduced (Gauss-Jordan) sparse rows: each row is
 zero at every other row's pivot. span_contains decides membership from the
 query's values at the pivots without changing the query; reduce_and_collect
 also returns the multipliers, for coordinate recovery.
+
+The group action and the block elimination work on row-dict blocks: a block
+is a dict {u: {v: value}} from row to its entries. The block_* kernels
+accumulate into such a dict in place and may leave zeros and empty rows
+behind; block_strip removes them, after which every stored value is nonzero.
 """
 
 from fractions import Fraction
@@ -284,13 +289,114 @@ def reduce_and_collect(v, rows, pivots, piv_invs):
     coeffs = [0] * len(rows)
     for col in v.keys() & pivots.keys():
         t = pivots[col]
-        f = v[col] * piv_invs[t]
+        inv = piv_invs[t]
+        # pivots and row entries are mostly 1: skip those rational products
+        f = v[col] if inv == 1 else v[col] * inv
         get = v.get
         for j, rj in rows[t].items():
-            x = get(j, 0) - f * rj
+            x = get(j, 0) - (f if rj == 1 else f * rj)
             if x:
                 v[j] = x
             else:
                 v.pop(j, None)
         coeffs[t] = f
     return coeffs
+
+
+def block_transpose(A):
+    """Transpose of a row-dict block."""
+    out = {}
+    for u, row in A.items():
+        for v, x in row.items():
+            col = out.get(v)
+            if col is None:
+                out[v] = {u: x}
+            else:
+                col[u] = x
+    return out
+
+
+def block_add(acc, A, f):
+    """acc += f·A on row-dict blocks, in place; returns acc."""
+    if f:
+        for u, Au in A.items():
+            row = acc.get(u)
+            if row is None:
+                acc[u] = dict(Au) if f == 1 else {v: f * x for v, x in Au.items()}
+                continue
+            get = row.get
+            for v, x in Au.items():
+                if f != 1:
+                    x = f * x
+                old = get(v)
+                row[v] = x if old is None else old + x
+    return acc
+
+
+def block_add_scalar(acc, c, n):
+    """acc += c·I_n on a row-dict block, in place; returns acc."""
+    if c:
+        for u in range(n):
+            row = acc.get(u)
+            if row is None:
+                acc[u] = {u: c}
+            else:
+                old = row.get(u)
+                row[u] = c if old is None else old + c
+    return acc
+
+
+def block_addmul(acc, A, B, lower=False):
+    """acc += A·B on row-dict blocks, in place; returns acc.
+
+    Only the pairs of nonzeros that meet on a shared index are multiplied.
+    lower forms only the entries (u, w) with w <= u, for a square result
+    whose upper half is known to mirror the lower one.
+    """
+    for u, Au in A.items():
+        row = acc.get(u)
+        if row is None:
+            row = acc[u] = {}
+        get = row.get
+        for v, x in Au.items():
+            Bv = B.get(v)
+            if Bv:
+                for w, y in Bv.items():
+                    if lower and w > u:
+                        continue
+                    # a first product is stored, not added to 0: with
+                    # Fractions that saves a rational addition
+                    old = get(w)
+                    row[w] = x * y if old is None else old + x * y
+    return acc
+
+
+def block_strip(A):
+    """Drop the zero entries and empty rows of a row-dict block in place."""
+    for u in list(A):
+        row = A[u]
+        if 0 in row.values():
+            row = A[u] = {v: x for v, x in row.items() if x}
+        if not row:
+            del A[u]
+    return A
+
+
+def block_scalar(A, n):
+    """The c with A == c·I_n for a symmetric n x n row-dict block, or None.
+
+    Only the entries on or below the diagonal are read, so the ones above it
+    may be missing; stored zeros are allowed.
+    """
+    c = None
+    for u in range(n):
+        row = A.get(u, {})
+        x = row.get(u, 0)
+        if c is None:
+            c = x
+        elif x != c:
+            return None
+        for v, y in row.items():
+            if v < u and y:
+                return None
+    return c

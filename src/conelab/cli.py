@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from conelab import degrees as degrees_mod
 from conelab import doubling, serialize
-from conelab.core import ldl_decompose, verify_v_conditions
+from conelab.core import cone_element, ldl_decompose, rho_act, verify_v_conditions
 from conelab.errors import (
     ClosureViolationError,
     InconsistentDimsError,
@@ -92,6 +92,21 @@ def _load_family(path):
 # sigma --family-dims R takes time and output that grow about as R^3:
 # R = 100 writes about 10 MB in under a second.
 MAX_FAMILY_DIMS = 100
+# rank3 family --n builds r dense n x n matrices: at the bound rho(256) = 9
+# n = 256 writes 7.7 MB in under a second, while n = 1024 took 17 s and
+# 1.4 GB, and an odd n = 99999 would ask for a 99999 x 99999 identity.
+MAX_FAMILY_N = 256
+# rank3 duality runs in time linear in --samples: one sample took 0.03 s on
+# family (8,16) and 0.17 s on (9,64), so 200 samples take 6 s and 34 s.
+MAX_DUALITY_SAMPLES = 200
+
+
+def _over_limit(flag, value, limit):
+    """Prints the one-line refusal of a value above its limit; True if refused."""
+    if value <= limit:
+        return False
+    print("error: %s %d exceeds the limit of %d" % (flag, value, limit), file=sys.stderr)
+    return True
 
 
 def _extremal_dims(r):
@@ -103,11 +118,7 @@ def _extremal_dims(r):
 def cmd_sigma(cfg):
     r = cfg.options.get("family_dims")
     if r is not None:
-        if r > MAX_FAMILY_DIMS:
-            print(
-                "error: --family-dims %d exceeds the limit of %d" % (r, MAX_FAMILY_DIMS),
-                file=sys.stderr,
-            )
+        if _over_limit("--family-dims", r, MAX_FAMILY_DIMS):
             return EXIT_INPUT
         table = _extremal_dims(r)
     else:
@@ -167,6 +178,13 @@ def cmd_member(cfg):
         cfg.options["point"], lambda d: serialize.element_from_dict(d, V), "point"
     )
     result = ldl_decompose(point, V)
+    # the certificate: a defined factorization rebuilds the point exactly
+    if result.unit is not None:
+        rebuilt = rho_act(result.unit, cone_element(V, result.pivots), V)
+        if rebuilt != point:
+            raise CommandFailure(
+                EXIT_INTERNAL, "the LDL factors do not rebuild the point"
+            )
     _emit(serialize.ldl_to_dict(result, approx=cfg.options.get("approx", False)))
     return EXIT_OK if result.is_member else EXIT_SEMANTIC
 
@@ -181,6 +199,8 @@ def cmd_verify(cfg):
 def cmd_rank3_family(cfg):
     from conelab import rank3
 
+    if _over_limit("--n", cfg.options["n"], MAX_FAMILY_N):
+        return EXIT_INPUT
     F = rank3.composition_family(cfg.options["r"], cfg.options["n"])
     _emit(serialize.family_to_dict(F), cfg.options.get("out"))
     return EXIT_OK
@@ -265,9 +285,11 @@ def cmd_rank3_det(cfg):
 def cmd_rank3_duality(cfg):
     from conelab import rank3
 
+    count = cfg.options.get("samples", 10)
+    if _over_limit("--samples", count, MAX_DUALITY_SAMPLES):
+        return EXIT_INPUT
     F = _load_family(cfg.options["family"])
     sampler = cfg.sampler()
-    count = cfg.options.get("samples", 10)
     V = rank3.build_rank3_cone(F)
     Vd = rank3.build_rank3_dual(F)
     for _ in range(count):
@@ -324,7 +346,15 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_iterate)
 
-    p = sub.add_parser("member", help="cone membership by exact block elimination")
+    p = sub.add_parser(
+        "member",
+        help="cone membership by exact block elimination",
+        description="Decide membership by exact block LDL elimination. A defined "
+        "factorization is its own certificate: the point is rebuilt from the "
+        "unit factor and the pivots and compared exactly, and a mismatch exits 3. "
+        "An \"undefined\" result (a zero pivot under a nonzero column) has no "
+        "factor and so no certificate.",
+    )
     p.add_argument("--cone", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--approx", action="store_true")

@@ -13,7 +13,11 @@ Three closure conditions make this work, checked here on basis elements:
   (V2)  X_ki * t(X_ji) lies in V_kj         for i < j < k,
   (V3)  X_kj * t(Y_kj) + Y_kj * t(X_kj) is a multiple of the identity.
 
-Everything is exact rational arithmetic; no floats enter at any point.
+The group action (rho_act), the group product (group_compose) and the block
+LDL elimination (ldl_decompose) work block by block on sparse blocks built
+from the basis entries, and build no N x N matrix; embed and project give
+the dense N x N view of an element. Everything is exact rational
+arithmetic; no floats enter at any point.
 """
 
 from __future__ import annotations
@@ -501,27 +505,163 @@ def inner_product_V(x, y, V):
     return total
 
 
+def _sparse_block(V, k, j, coords):
+    """sum(coords[a] * E_a) as a stripped row-dict block (see _kernels)."""
+    out = {}
+    for c, E in zip(coords, V.entries(k, j)):
+        if c:
+            for u, v, e in E:
+                # basis entries are mostly 1: skip the rational product
+                ce = c if e == 1 else c * e
+                row = out.get(u)
+                if row is None:
+                    out[u] = {v: ce}
+                else:
+                    old = row.get(v)
+                    row[v] = ce if old is None else old + ce
+    return kernels.block_strip(out)
+
+
+def _sparse_blocks(V, coords):
+    """The nonzero lower blocks of a coordinate dict, as row-dict blocks."""
+    out = {}
+    for key, cs in coords.items():
+        if any(cs):
+            B = _sparse_block(V, *key, cs)
+            if B:
+                out[key] = B
+    return out
+
+
+def _solve_block(V, k, j, B):
+    """Coordinates of the row-dict block B in V_kj, or None if outside."""
+    nj = V.partition.size(j)
+    return V.solver(k, j).solve(
+        {u * nj + v: e for u, row in B.items() for v, e in row.items()}
+    )
+
+
+def _lower_coords(V, blocks):
+    """Coordinates of the lower row-dict blocks, checked in V.pairs() order.
+
+    A missing block is zero. Raises NotInSpaceError at the first block outside
+    its span; a block of a zero-dimensional space must vanish.
+    """
+    coords = {}
+    for k, j in V.pairs():
+        B = blocks.get((k, j), {})
+        if V.dim(k, j) == 0:
+            if B:
+                raise NotInSpaceError(
+                    "block (%d, %d) must vanish (zero-dimensional space)" % (k, j),
+                    (k, j),
+                )
+            continue
+        cs = _solve_block(V, k, j, B)
+        if cs is None:
+            raise NotInSpaceError(
+                "block (%d, %d) is outside its declared span" % (k, j), (k, j)
+            )
+        coords[(k, j)] = tuple(cs)
+    return coords
+
+
 def rho_act(h, x, V):
-    """The action h.x = h x th, computed by embedding and projecting back."""
-    H = embed_group(h, V)
-    P = kernels.mat_mul_t(kernels.mat_mul(H, embed(x, V)), H)
+    """The action h.x = h x th, block by block on sparse blocks.
+
+    With H = h and X = x as block matrices (H_kk = a_k I, X_ll = x_l I and
+    X_lm = tX_ml for l < m), it forms Y_km = sum_{l<=k} H_kl X_lm for m <= k
+    only, then Z_kj = sum_{m<=j} Y_km tH_jm for k >= j only: the upper half
+    of h x th is the transpose of the lower half. Each diagonal block Z_kk
+    must be scalar and each lower block must lie in its span; the span solve
+    that reads off its coordinates is that check. Raises
+    ClosureViolationError at the first offending block, diagonal blocks
+    first, then pairs in V.pairs() order. No N x N matrix is built.
+    """
+    sizes = V.partition.sizes
+    r = V.r
+    a, d = h.diag, x.diag
+    H = _sparse_blocks(V, h.lower)
+    X = _sparse_blocks(V, x.off)
+    XT = {key: kernels.block_transpose(B) for key, B in X.items()}
+    # Y_kk and Z_kk only enter the scalar check of the symmetric Z_kk, which
+    # reads their lower halves
+    Y = {}
+    for k in range(1, r + 1):
+        for m in range(1, k + 1):
+            acc = {}
+            if m == k:
+                kernels.block_add_scalar(acc, a[k - 1] * d[k - 1], sizes[k - 1])
+            elif (k, m) in X:
+                kernels.block_add(acc, X[(k, m)], a[k - 1])
+            for l in range(1, k):
+                A = H.get((k, l))
+                if A is None:
+                    continue
+                if l == m:
+                    kernels.block_add(acc, A, d[m - 1])
+                else:
+                    B = X.get((l, m)) if l > m else XT.get((m, l))
+                    if B is not None:
+                        kernels.block_addmul(acc, A, B, lower=m == k)
+            Y[(k, m)] = kernels.block_strip(acc)
+    HT = {key: kernels.block_transpose(B) for key, B in H.items()}
+    Z = {}
+    for k in range(1, r + 1):
+        for j in range(1, k + 1):
+            acc = kernels.block_add({}, Y[(k, j)], a[j - 1])
+            for m in range(1, j):
+                T = HT.get((j, m))
+                if T is not None and Y[(k, m)]:
+                    kernels.block_addmul(acc, Y[(k, m)], T, lower=j == k)
+            Z[(k, j)] = kernels.block_strip(acc)
     try:
-        return project(P, V)
+        diag = []
+        for i in range(1, r + 1):
+            c = kernels.block_scalar(Z[(i, i)], sizes[i - 1])
+            if c is None:
+                raise NotInSpaceError(
+                    "diagonal block %d is not a scalar matrix" % i, ("diag", i)
+                )
+            diag.append(c)
+        off = _lower_coords(V, Z)
     except NotInSpaceError as exc:
         raise ClosureViolationError(
             "action left the space: %s" % exc, exc.block
         ) from exc
+    return ConeElement(diag=tuple(diag), off=off)
 
 
 def group_compose(h1, h2, V):
-    """Product in the acting group, via embedded matrices."""
-    P = kernels.mat_mul(embed_group(h1, V), embed_group(h2, V))
+    """Product in the acting group, block by block on sparse blocks.
+
+    Block (k, j) of the product is sum_{j<=l<=k} H1_kl H2_lj; the diagonal
+    blocks are the products of the diagonal scalars. Raises
+    ClosureViolationError at the first lower block outside its span, in
+    V.pairs() order.
+    """
+    a, b = h1.diag, h2.diag
+    H1 = _sparse_blocks(V, h1.lower)
+    H2 = _sparse_blocks(V, h2.lower)
+    P = {}
+    for k, j in V.pairs():
+        acc = {}
+        if (k, j) in H2:
+            kernels.block_add(acc, H2[(k, j)], a[k - 1])
+        if (k, j) in H1:
+            kernels.block_add(acc, H1[(k, j)], b[j - 1])
+        for l in range(j + 1, k):
+            A, B = H1.get((k, l)), H2.get((l, j))
+            if A is not None and B is not None:
+                kernels.block_addmul(acc, A, B)
+        P[(k, j)] = kernels.block_strip(acc)
     try:
-        return project_group(P, V)
+        lower = _lower_coords(V, P)
     except NotInSpaceError as exc:
         raise ClosureViolationError(
             "product left the group: %s" % exc, exc.block
         ) from exc
+    return GroupElement(diag=tuple(p * q for p, q in zip(a, b)), lower=lower)
 
 
 @dataclass(frozen=True)
@@ -623,15 +763,13 @@ def ldl_decompose(x, V):
     factor column, the remaining blocks pick up -X_kj t(X_j'j) / d_j, and the
     diagonal entries drop by the (V3) scalar of X_kj with itself over d_j.
     (V1)-(V3) keep every intermediate block inside its declared span, which
-    is what lets the factor be read back in coordinates at the end.
+    is what lets the factor be read back in coordinates at the end. Blocks
+    are sparse row-dict blocks (see _kernels); no N x N matrix is built.
     """
-    part = V.partition
-    r = part.r
+    sizes = V.partition.sizes
+    r = V.r
     diag = list(x.diag)
-    blocks = {}
-    for key, coords in x.off.items():
-        if any(coords):
-            blocks[key] = block_from_coords(V, *key, coords)
+    blocks = _sparse_blocks(V, x.off)
     pivots = []
     unit_cols = {}
     for j in range(1, r + 1):
@@ -641,8 +779,8 @@ def ldl_decompose(x, V):
         col = []
         for k in range(j + 1, r + 1):
             X = blocks.pop((k, j), None)
-            if X is not None and any(any(row) for row in X):
-                col.append((k, X))
+            if X is not None and kernels.block_strip(X):
+                col.append((k, X, kernels.block_transpose(X)))
         if d == 0:
             if col:
                 return LdlResult(
@@ -653,30 +791,22 @@ def ldl_decompose(x, V):
                 )
             continue
         inv = linalg.exact_inv(d)
-        for k, X in col:
-            unit_cols[(k, j)] = linalg.scalar_mul(inv, X)
-            c = kernels.sym_pair_scalar(X, X)
+        for idx, (k, X, XT) in enumerate(col):
+            L = unit_cols[(k, j)] = kernels.block_add({}, X, inv)
+            c = kernels.block_scalar(
+                kernels.block_addmul({}, X, XT, lower=True), sizes[k - 1]
+            )
             if c is None:
                 raise StructureError(
                     "(V3) violation during elimination at block (%d, %d)" % (k, j)
                 )
             if c:
                 diag[k - 1] = diag[k - 1] - c * inv
-        for k, X in col:
-            for j2, Y in col:
-                if j2 >= k:
-                    continue
-                # here (j2, Y) plays the row role: update block (k, j2)
-                P = kernels.mat_mul_t(X, Y)
-                if not any(any(row) for row in P):
-                    continue
-                update = linalg.scalar_mul(inv, P)
-                cur = blocks.get((k, j2))
-                blocks[(k, j2)] = (
-                    linalg.mat_sub(cur, update)
-                    if cur is not None
-                    else linalg.scalar_mul(-1, update)
-                )
+            if idx:
+                # block (k, j2) picks up -L_kj t(X_j2j) for each j2 < k in col
+                negL = {u: {v: -x for v, x in row.items()} for u, row in L.items()}
+                for j2, _, YT in col[:idx]:
+                    kernels.block_addmul(blocks.setdefault((k, j2), {}), negL, YT)
     if all(p > 0 for p in pivots):
         status = "positive"
     elif all(p >= 0 for p in pivots):
@@ -685,7 +815,7 @@ def ldl_decompose(x, V):
         status = "indefinite"
     lower = {}
     for (k, j), L in unit_cols.items():
-        coords = V.solver(k, j).solve(linalg.vec_matrix(L))
+        coords = _solve_block(V, k, j, L)
         if coords is None:
             raise NotInSpaceError(
                 "elimination block (%d, %d) left its declared span" % (k, j),

@@ -265,7 +265,8 @@ class SpanSolver:
         for u, f in enumerate(coeffs):
             if f:
                 for a, x in self.trans[u].items():
-                    out[a] += f * x
+                    fx = f if x == 1 else f * x
+                    out[a] = out[a] + fx if out[a] else fx
         return out
 
     def contains(self, vector):

@@ -9,11 +9,34 @@ conelab._kernels, which have their own naive references in test_kernels.py.
 dense_basis rebuilds the dense basis matrices of one space from its entries,
 and dense_realization_from_dict is the realization reader as it ran before
 it learned to skip zeros: it parses every value and builds dense matrices.
+
+dense_rho_act, dense_group_compose and dense_ldl_decompose are the group
+action, the group product and the block elimination as they ran on dense
+matrices: the action and the product embed into N x N matrices, multiply and
+project back, and the elimination keeps every block as a dense matrix.
 """
 
 from conelab import _kernels as kernels
-from conelab.core import BlockPartition, ConditionReport, VCollection, VerificationReport
-from conelab.errors import SerializationError, StructureError
+from conelab import linalg
+from conelab.core import (
+    BlockPartition,
+    ConditionReport,
+    LdlResult,
+    VCollection,
+    VerificationReport,
+    block_from_coords,
+    embed,
+    embed_group,
+    group_element,
+    project,
+    project_group,
+)
+from conelab.errors import (
+    ClosureViolationError,
+    NotInSpaceError,
+    SerializationError,
+    StructureError,
+)
 from conelab.linalg import exact_inv, vec_matrix
 from conelab.serialize import _parse_index, _parse_list, _require_keys
 
@@ -174,4 +197,98 @@ def dense_verify(V):
         v3=v3,
         dims=V.dims_table(),
         orthonormal=orthonormal,
+    )
+
+
+def dense_rho_act(h, x, V):
+    """rho_act through the embedded N x N matrices."""
+    H = embed_group(h, V)
+    P = kernels.mat_mul_t(kernels.mat_mul(H, embed(x, V)), H)
+    try:
+        return project(P, V)
+    except NotInSpaceError as exc:
+        raise ClosureViolationError(
+            "action left the space: %s" % exc, exc.block
+        ) from exc
+
+
+def dense_group_compose(h1, h2, V):
+    """group_compose through the embedded N x N matrices."""
+    P = kernels.mat_mul(embed_group(h1, V), embed_group(h2, V))
+    try:
+        return project_group(P, V)
+    except NotInSpaceError as exc:
+        raise ClosureViolationError(
+            "product left the group: %s" % exc, exc.block
+        ) from exc
+
+
+def dense_ldl_decompose(x, V):
+    """ldl_decompose on dense blocks."""
+    r = V.partition.r
+    diag = list(x.diag)
+    blocks = {}
+    for key, coords in x.off.items():
+        if any(coords):
+            blocks[key] = block_from_coords(V, *key, coords)
+    pivots = []
+    unit_cols = {}
+    for j in range(1, r + 1):
+        d = diag[j - 1]
+        pivots.append(d)
+        col = []
+        for k in range(j + 1, r + 1):
+            X = blocks.pop((k, j), None)
+            if X is not None and any(any(row) for row in X):
+                col.append((k, X))
+        if d == 0:
+            if col:
+                return LdlResult(
+                    pivots=tuple(pivots), unit=None, is_member=False, status="undefined"
+                )
+            continue
+        inv = exact_inv(d)
+        for k, X in col:
+            unit_cols[(k, j)] = linalg.scalar_mul(inv, X)
+            c = kernels.sym_pair_scalar(X, X)
+            if c is None:
+                raise StructureError(
+                    "(V3) violation during elimination at block (%d, %d)" % (k, j)
+                )
+            if c:
+                diag[k - 1] = diag[k - 1] - c * inv
+        for k, X in col:
+            for j2, Y in col:
+                if j2 >= k:
+                    continue
+                P = kernels.mat_mul_t(X, Y)
+                if not any(any(row) for row in P):
+                    continue
+                update = linalg.scalar_mul(inv, P)
+                cur = blocks.get((k, j2))
+                blocks[(k, j2)] = (
+                    linalg.mat_sub(cur, update)
+                    if cur is not None
+                    else linalg.scalar_mul(-1, update)
+                )
+    if all(p > 0 for p in pivots):
+        status = "positive"
+    elif all(p >= 0 for p in pivots):
+        status = "boundary"
+    else:
+        status = "indefinite"
+    lower = {}
+    for (k, j), L in unit_cols.items():
+        coords = V.solver(k, j).solve(vec_matrix(L))
+        if coords is None:
+            raise NotInSpaceError(
+                "elimination block (%d, %d) left its declared span" % (k, j),
+                (k, j),
+            )
+        lower[(k, j)] = tuple(coords)
+    return LdlResult(
+        pivots=tuple(pivots),
+        unit=group_element(V, (1,) * r, lower),
+        is_member=status == "positive",
+        status=status,
     )

@@ -233,26 +233,33 @@ def test_criterion_7_composition_families(capsys, fixture_family):
 def test_criterion_8_membership_vs_minors(capsys, fixture_family):
     label = "exact pivot membership agrees with the principal-minor oracle"
     with _criterion(capsys, 8, label) as note:
+        # (cone, points), the points cycling unconstrained, interior, boundary;
+        # the minors oracle takes about 0.05 s per rank-6 point and 0.65 s per
+        # rank-7 point, so the high ranks get few points
         cones = [
-            iterate_construction(2),
-            iterate_construction(3),
-            build_rank3_cone(fixture_family),
+            (iterate_construction(2), 180),
+            (iterate_construction(3), 180),
+            (build_rank3_cone(fixture_family), 180),
+            (iterate_construction(5), 20),
+            (iterate_construction(6), 20),
+            (iterate_construction(7), 3),
         ]
         sampler = RationalSampler(seed=8)
-        checked = members = 0
-        for V in cones:
+        rounds = members = 0
+        for V, count in cones:
             r = V.partition.r
-            points = []
-            for _ in range(60):
-                points.append(sampler.cone_element(V))
-                points.append(sampler.interior_element(V))
-                points.append(sampler.boundary_element(V, zeros=1 + checked % (r - 1)))
-                checked += 1
-            for x in points:
+            for i in range(count):
+                if i % 3 == 0:
+                    x = sampler.cone_element(V)
+                elif i % 3 == 1:
+                    x = sampler.interior_element(V)
+                else:
+                    x = sampler.boundary_element(V, zeros=1 + rounds % (r - 1))
+                    rounds += 1
                 verdict = is_member(x, V)
                 oracle, _minors = is_positive_definite_minors(embed(x, V))
                 assert verdict == oracle
                 members += 1 if verdict else 0
-        total = 3 * 3 * 60
+        total = sum(count for _, count in cones)
         assert members > 0 and members < total  # both verdicts exercised
         note["detail"] = "%d points, %d members" % (total, members)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 import conelab
 from conelab import cli, serialize
-from conelab.core import BlockPartition, VCollection, cone_element
+from conelab.core import BlockPartition, VCollection, cone_element, group_element
 from conelab.doubling import iterate_construction
 from conelab.rank3 import bundled_family_3_5_7
 
@@ -142,6 +143,27 @@ def test_member_approx(capsys, tmp_path):
     assert d["pivots"] == ["1/2", "1"]  # exact values stay authoritative
 
 
+def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
+    V, cone = write_omega2(tmp_path)
+    point = tmp_path / "p.json"
+    point.write_text(
+        json.dumps({"diag": [2, 1], "off": [{"k": 2, "j": 1, "coords": [1, 0]}]}),
+        encoding="utf-8",
+    )
+    true_ldl = cli.ldl_decompose
+
+    def wrong_unit(x, V):
+        res = true_ldl(x, V)
+        unit = group_element(V, (1, 1), {(2, 1): (0, 1)})
+        return dataclasses.replace(res, unit=unit)
+
+    monkeypatch.setattr(cli, "ldl_decompose", wrong_unit)
+    code, out, err = run(capsys, "member", "--cone", cone, "--point", str(point))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "rebuild" in err
+    assert "Traceback" not in err
+
+
 def test_verify_pass_and_fail(capsys, tmp_path):
     _, cone = write_omega2(tmp_path)
     d = run_json(capsys, "verify", "--in", cone)
@@ -236,6 +258,20 @@ def test_rank3_family_rejects_non_positive_flags(capsys, flag, value):
     assert flag in err
 
 
+def test_rank3_family_n_limit(capsys, monkeypatch):
+    from conelab import rank3
+
+    def never(*args):
+        raise AssertionError("family built past the limit")
+
+    monkeypatch.setattr(rank3, "composition_family", never)
+    limit = cli.MAX_FAMILY_N
+    code, out, err = run(capsys, "rank3", "family", "--r", "1", "--n", str(limit + 1))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and str(limit) in err and "--n" in err
+    assert "Traceback" not in err
+
+
 def test_rank3_verify(capsys, tmp_path):
     _, fam = write_family(tmp_path)
     d = run_json(capsys, "rank3", "verify", "--family", fam)
@@ -317,6 +353,18 @@ def test_rank3_duality(capsys, tmp_path):
         "rank3", "duality", "--family", fam, "--samples", "5", "--seed", "3",
     )
     assert d == {"samples": 5, "seed": 3, "passed": True}
+
+
+def test_rank3_duality_samples_limit(capsys, tmp_path):
+    # refused before the family file is read: it does not exist
+    limit = cli.MAX_DUALITY_SAMPLES
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(
+        capsys, "rank3", "duality", "--family", missing, "--samples", str(limit + 1)
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and str(limit) in err and "--samples" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

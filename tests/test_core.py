@@ -521,6 +521,21 @@ def test_boundary_sampler(omega3):
             assert _rebuild(res, V) == embed(x, V)
 
 
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_ldl_pivots_are_equivariant(rank):
+    # h.(U D tU) = U' (A D A) tU' with A = diag(h) and U' = h U A^-1 unit
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(rank)
+    sampler = RationalSampler(seed=rank)
+    for x in (sampler.cone_element(V), sampler.interior_element(V)):
+        h = sampler.group_element(V)
+        d = ldl_decompose(x, V).pivots
+        assert len(d) == rank
+        moved = ldl_decompose(rho_act(h, x, V), V).pivots
+        assert moved == tuple(a * a * p for a, p in zip(h.diag, d))
+
+
 def test_dual_pairing_positive(omega2):
     sampler = RationalSampler(seed=13)
     samples = [sampler.interior_element(omega2) for _ in range(6)]

@@ -274,3 +274,44 @@ def test_sym_scalar_matches_sym_pair_scalar(kernels):
         assert got == kernels.sym_pair_scalar(X, Y)
         seen.add(got is None)
     assert seen == {True, False}
+
+
+def _row_dict(M):
+    return {u: {v: e for v, e in enumerate(row) if e} for u, row in enumerate(M) if any(row)}
+
+
+def test_block_kernels_match_naive(kernels):
+    rng = random.Random(7)
+    for _ in range(200):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A, B = _sparse_rand_matrix(rng, n, k), _sparse_rand_matrix(rng, k, m)
+        C = _sparse_rand_matrix(rng, n, m)
+        f = rng.choice((1, -1, Fraction(2, 3)))
+        want = [
+            [f * c + p for c, p in zip(rc, rp)]
+            for rc, rp in zip(C, naive_mat_mul(A, B))
+        ]
+        acc = kernels.block_add({}, _row_dict(C), f)
+        acc = kernels.block_addmul(acc, _row_dict(A), _row_dict(B))
+        assert kernels.block_strip(acc) == _row_dict(want)
+        lower = kernels.block_addmul({}, _row_dict(A), _row_dict(B), lower=True)
+        assert kernels.block_strip(lower) == _row_dict(
+            [[p if w <= u else 0 for w, p in enumerate(row)]
+             for u, row in enumerate(naive_mat_mul(A, B))]
+        )
+        assert kernels.block_transpose(_row_dict(A)) == _row_dict(
+            [list(col) for col in zip(*A)]
+        )
+        acc = kernels.block_add(_row_dict(C), _row_dict(C), -1)
+        assert kernels.block_strip(acc) == {}
+
+
+def test_block_scalar(kernels):
+    assert kernels.block_scalar({}, 3) == 0
+    assert kernels.block_scalar(kernels.block_add_scalar({}, 5, 3), 3) == 5
+    assert kernels.block_scalar({0: {0: 5}, 1: {1: 5}}, 3) is None  # a zero row
+    assert kernels.block_scalar({0: {0: 5}, 1: {1: 4}}, 2) is None
+    assert kernels.block_scalar({0: {0: 5}, 1: {0: 1, 1: 5}}, 2) is None
+    assert kernels.block_scalar({0: {0: 5, 1: 0}, 1: {0: 0, 1: 5}}, 2) == 5
+    # a symmetric block is read below the diagonal only
+    assert kernels.block_scalar({0: {0: 5, 1: 7}, 1: {1: 5}}, 2) == 5
