@@ -29,7 +29,6 @@ _EXPORTS = {
     "LRReport": "rank3",
     "LdlResult": "core",
     "NotInSpaceError": "errors",
-    "PairingReport": "core",
     "Poly": "poly",
     "Rank3Element": "rank3",
     "RationalSampler": "sampling",
@@ -59,7 +58,6 @@ _EXPORTS = {
     "double": "doubling",
     "dual_degrees_rank3": "degrees",
     "dual_from_cone_element": "rank3",
-    "dual_pairing_positive": "core",
     "dual_rank3_element": "rank3",
     "dual_to_cone_element": "rank3",
     "element_is_zero": "core",

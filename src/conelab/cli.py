@@ -8,10 +8,10 @@ never fail did). Output JSON is canonical: sorted keys, rational strings.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from conelab import degrees as degrees_mod
 from conelab import doubling, serialize
+from conelab._record import Record
 from conelab.core import cone_element, ldl_decompose, rho_act, verify_v_conditions
 from conelab.errors import (
     ClosureViolationError,
@@ -27,8 +27,7 @@ EXIT_SEMANTIC = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     command: str
     options: dict
 

@@ -22,11 +22,12 @@ arithmetic; no floats enter at any point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 from conelab import _kernels as kernels
 from conelab import linalg
+from conelab._record import Record
 from conelab.degrees import DimTable
 from conelab.errors import ClosureViolationError, NotInSpaceError, StructureError
 
@@ -37,8 +38,7 @@ def _is_rational(x):
     return isinstance(x, _RATIONAL_TYPES) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Record):
     """Sizes (n_1, ..., n_r) of the diagonal blocks."""
 
     sizes: tuple
@@ -269,8 +269,7 @@ class VCollection:
         )
 
 
-@dataclass(frozen=True)
-class ConeElement:
+class ConeElement(Record):
     """diag holds (x_11, ..., x_rr); off maps (k, j) to basis coordinates."""
 
     diag: tuple
@@ -279,8 +278,7 @@ class ConeElement:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """Block lower triangular: nonzero diag scalars plus lower coordinates."""
 
     diag: tuple
@@ -566,6 +564,38 @@ def _lower_coords(V, blocks):
     return coords
 
 
+def _integer_scaled(diag, coords):
+    """(L, L·diag, L·coords) with L the lcm of every denominator, so ints.
+
+    Products of ints are several times cheaper than products of Fractions,
+    and the action and the group product are linear in each argument, so
+    they run on the scaled values and divide once at the end.
+    """
+    L = math.lcm(
+        *(c.denominator for c in diag),
+        *(c.denominator for cs in coords.values() for c in cs),
+    )
+    if L == 1:
+        return 1, diag, coords
+
+    def scale(values):
+        return tuple(c.numerator * (L // c.denominator) for c in values)
+
+    return L, scale(diag), {key: scale(cs) for key, cs in coords.items()}
+
+
+def _divided(values, L):
+    """The values over L, exact; a whole quotient stays an int."""
+    out = []
+    for c in values:
+        if type(c) is int:
+            q, rem = divmod(c, L)
+            out.append(Fraction(c, L) if rem else q)
+        else:
+            out.append(linalg.normalize_rational(c / L))
+    return tuple(out)
+
+
 def rho_act(h, x, V):
     """The action h.x = h x th, block by block on sparse blocks.
 
@@ -576,13 +606,16 @@ def rho_act(h, x, V):
     must be scalar and each lower block must lie in its span; the span solve
     that reads off its coordinates is that check. Raises
     ClosureViolationError at the first offending block, diagonal blocks
-    first, then pairs in V.pairs() order. No N x N matrix is built.
+    first, then pairs in V.pairs() order. No N x N matrix is built. h and x
+    are scaled to integer values by L_h and L_x first, and the result is
+    divided by L_h^2 L_x at the end; scaling keeps every check as it is.
     """
     sizes = V.partition.sizes
     r = V.r
-    a, d = h.diag, x.diag
-    H = _sparse_blocks(V, h.lower)
-    X = _sparse_blocks(V, x.off)
+    Lh, a, lower = _integer_scaled(h.diag, h.lower)
+    Lx, d, off = _integer_scaled(x.diag, x.off)
+    H = _sparse_blocks(V, lower)
+    X = _sparse_blocks(V, off)
     XT = {key: kernels.block_transpose(B) for key, B in X.items()}
     # Y_kk and Z_kk only enter the scalar check of the symmetric Z_kk, which
     # reads their lower halves
@@ -629,7 +662,13 @@ def rho_act(h, x, V):
         raise ClosureViolationError(
             "action left the space: %s" % exc, exc.block
         ) from exc
-    return ConeElement(diag=tuple(diag), off=off)
+    L = Lh * Lh * Lx
+    if L == 1:
+        return ConeElement(diag=tuple(diag), off=off)
+    return ConeElement(
+        diag=_divided(diag, L),
+        off={key: _divided(cs, L) for key, cs in off.items()},
+    )
 
 
 def group_compose(h1, h2, V):
@@ -638,11 +677,13 @@ def group_compose(h1, h2, V):
     Block (k, j) of the product is sum_{j<=l<=k} H1_kl H2_lj; the diagonal
     blocks are the products of the diagonal scalars. Raises
     ClosureViolationError at the first lower block outside its span, in
-    V.pairs() order.
+    V.pairs() order. The blocks are formed from h1 and h2 scaled to integer
+    values by L_1 and L_2, and their coordinates divided by L_1 L_2.
     """
-    a, b = h1.diag, h2.diag
-    H1 = _sparse_blocks(V, h1.lower)
-    H2 = _sparse_blocks(V, h2.lower)
+    L1, a, lower1 = _integer_scaled(h1.diag, h1.lower)
+    L2, b, lower2 = _integer_scaled(h2.diag, h2.lower)
+    H1 = _sparse_blocks(V, lower1)
+    H2 = _sparse_blocks(V, lower2)
     P = {}
     for k, j in V.pairs():
         acc = {}
@@ -661,17 +702,19 @@ def group_compose(h1, h2, V):
         raise ClosureViolationError(
             "product left the group: %s" % exc, exc.block
         ) from exc
-    return GroupElement(diag=tuple(p * q for p, q in zip(a, b)), lower=lower)
+    L = L1 * L2
+    if L != 1:
+        lower = {key: _divided(cs, L) for key, cs in lower.items()}
+    diag = tuple(p * q for p, q in zip(h1.diag, h2.diag))
+    return GroupElement(diag=diag, lower=lower)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     passed: bool
     counterexample: tuple | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     passed: bool
     v1: ConditionReport
     v2: ConditionReport
@@ -740,8 +783,7 @@ def verify_v_conditions(V):
     )
 
 
-@dataclass(frozen=True)
-class LdlResult:
+class LdlResult(Record):
     """Outcome of the square-root-free block decomposition.
 
     pivots are the scalar block pivots d_1, ..., d_r; unit is the block lower
@@ -833,36 +875,3 @@ def ldl_decompose(x, V):
 
 def is_member(x, V):
     return ldl_decompose(x, V).is_member
-
-
-@dataclass(frozen=True)
-class PairingReport:
-    all_positive: bool
-    checked: int
-    failures: tuple
-
-
-def dual_pairing_positive(y, samples, V):
-    """Test <x, y> > 0 against nonzero samples from the closed cone.
-
-    Each sample must actually lie in the closed cone (pivots defined and
-    nonnegative) and be nonzero, otherwise ValueError; the report carries
-    the indices and values of failed pairings.
-    """
-    failures = []
-    count = 0
-    for idx, x in enumerate(samples):
-        if element_is_zero(x):
-            raise ValueError("sample %d is zero" % idx)
-        res = ldl_decompose(x, V)
-        if res.status not in ("positive", "boundary"):
-            raise ValueError(
-                "sample %d is not in the closed cone (status %s)" % (idx, res.status)
-            )
-        val = inner_product_V(x, y, V)
-        count += 1
-        if not val > 0:
-            failures.append((idx, val))
-    return PairingReport(
-        all_positive=not failures, checked=count, failures=tuple(failures)
-    )

@@ -9,8 +9,7 @@ characters on the diagonal part of the acting group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from conelab._record import Record
 from conelab.errors import InconsistentDimsError
 
 
@@ -55,8 +54,7 @@ def rank3_table(d21, d31, d32):
     return DimTable(3, {(2, 1): d21, (3, 1): d31, (3, 2): d32})
 
 
-@dataclass(frozen=True)
-class SigmaTraceStep:
+class SigmaTraceStep(Record):
     """Audit record for one column: the l-vector stages and the epsilon row."""
 
     i: int
@@ -64,10 +62,11 @@ class SigmaTraceStep:
     epsilon: tuple
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
+class SigmaMatrix(Record):
     rows: tuple
-    trace: tuple = field(default=(), compare=False)
+    trace: tuple = ()
+
+    _uncompared = ("trace",)
 
     @property
     def r(self):

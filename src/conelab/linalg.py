@@ -30,14 +30,6 @@ def mat_vec(A, v):
     return [dot(row, v) for row in A]
 
 
-def scalar_mul(c, A):
-    return [[c * e if e else 0 for e in row] for row in A]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def kron(A, B):
     """Kronecker product of two row-major matrices."""
     if not A or not B:
@@ -134,31 +126,56 @@ def is_positive_definite_minors(A):
 
 
 def solve_linear(A, b):
-    """Solve A·x = b exactly; raises StructureError if A is singular."""
+    """Solve A·x = b exactly; raises StructureError if A is singular.
+
+    Fraction-free: [A | b] is scaled to integers and reduced by Bareiss
+    elimination, the pivot in each column being the first nonzero entry at
+    or below the diagonal. Bareiss would multiply a row with a zero in the
+    pivot column by p_k / p_(k-1); these factors telescope, so such a row is
+    left as it is and den[i] records the pivot it was last divided by: it
+    is the Bareiss row times den[i] / p_(k-1), and its next update divides
+    by den[i]. The last pivot D is det(A) up to sign, back substitution
+    finds the integers D·x_k, and each unknown costs one exact division.
+    """
     n = len(A)
-    M = [list(row) + [bv] for row, bv in zip(A, b)]
+    M, _ = clear_denominators([list(row) + [bv] for row, bv in zip(A, b)])
+    den = [1] * n
+    prev = 1
     for k in range(n):
         piv_row = next((i for i in range(k, n) if M[i][k]), None)
         if piv_row is None:
             raise StructureError("singular system")
         if piv_row != k:
             M[k], M[piv_row] = M[piv_row], M[k]
-        inv = exact_inv(M[k][k])
+            den[k], den[piv_row] = den[piv_row], den[k]
+        Mk = M[k]
+        if den[k] != prev:
+            d = den[k]
+            for j in range(k, n + 1):
+                if Mk[j]:
+                    Mk[j] = Mk[j] * prev // d
+        p = Mk[k]
         for i in range(k + 1, n):
-            c = M[i][k]
+            Mi = M[i]
+            c = Mi[k]
             if c:
-                f = c * inv
-                for j in range(k, n + 1):
-                    if M[k][j]:
-                        M[i][j] -= f * M[k][j]
-    x = [0] * n
+                d = den[i]
+                for j in range(k + 1, n + 1):
+                    Mi[j] = (Mi[j] * p - c * Mk[j]) // d
+                Mi[k] = 0
+                den[i] = p
+        prev = p
+    # y_k = D x_k are integers (Cramer), and M[k][k] divides the right side
+    D = prev
+    y = [0] * n
     for k in range(n - 1, -1, -1):
-        acc = M[k][n]
+        Mk = M[k]
+        acc = D * Mk[n]
         for j in range(k + 1, n):
-            if M[k][j] and x[j]:
-                acc -= M[k][j] * x[j]
-        x[k] = acc * exact_inv(M[k][k])
-    return x
+            if Mk[j] and y[j]:
+                acc -= Mk[j] * y[j]
+        y[k] = acc // Mk[k]
+    return [Fraction(v, D) for v in y]
 
 
 def _sparse_vector(vector):

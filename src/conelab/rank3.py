@@ -24,11 +24,11 @@ instead; the generic layout presumes r >= 1.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from conelab import _kernels as kernels
 from conelab import linalg, poly
+from conelab._record import Record
 from conelab.core import (
     BlockPartition,
     VCollection,
@@ -236,8 +236,7 @@ def composition_family(r, n):
     return CompositionFamily(r, n, n, mats)
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(Record):
     passed: bool
     pair: tuple | None = None  # 1-indexed (i, j) of the first failing relation
 
@@ -257,8 +256,7 @@ def verify_composition(F):
     return CompositionReport(True)
 
 
-@dataclass(frozen=True)
-class LRReport:
+class LRReport(Record):
     passed: bool
     mismatch: tuple | None = None
 
@@ -354,8 +352,7 @@ def build_rank3_dual(F):
     return _realize(dual_family(F))
 
 
-@dataclass(frozen=True)
-class Rank3Element:
+class Rank3Element(Record):
     x11: object
     x22: object
     x33: object
@@ -364,8 +361,7 @@ class Rank3Element:
     z: tuple
 
 
-@dataclass(frozen=True)
-class DualRank3Element:
+class DualRank3Element(Record):
     xi11: object
     xi22: object
     xi33: object
@@ -389,7 +385,7 @@ def _checked_point(cls, F, diag, vecs):
     """cls(*diag, *vecs), the vectors checked for lengths (r, s, n)."""
     if not all(_is_rational(v) for v in diag):
         raise StructureError("diagonal values must be rational")
-    names = [f.name for f in fields(cls)[3:]]
+    names = cls._fields[3:]
     return cls(*diag, *map(_check_vec, names, vecs, (F.r, F.s, F.n)))
 
 
@@ -604,8 +600,7 @@ def coupling(X, Xi):
     )
 
 
-@dataclass(frozen=True)
-class CouplingDecomposition:
+class CouplingDecomposition(Record):
     passed: bool
     lhs: object
     rhs: object
@@ -685,8 +680,7 @@ def coupling_decomposition_check(X, Xi, F):
 # --- closed-form invariants and classification --------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantList:
+class InvariantList(Record):
     kind: str  # "primal" or "dual"
     polys: tuple
     degrees: tuple
@@ -694,7 +688,7 @@ class InvariantList:
 
 def primal_values(X, F=None):
     """Field order: (x11, x22, x33, x*, y*, z*), or (xi11, ..., zeta*)."""
-    a11, a22, a33, *vecs = (getattr(X, f.name) for f in fields(X))
+    a11, a22, a33, *vecs = (getattr(X, name) for name in X._fields)
     return [a11, a22, a33, *(v for vec in vecs for v in vec)]
 
 
@@ -732,8 +726,7 @@ def closed_form_invariants(F, which="primal"):
     )
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     passed: bool
     checked: int
     witness: tuple | None = None  # (j, h, x) for the first failure
@@ -820,8 +813,7 @@ def defect_witness(F):
     return None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     case: int
     primal: tuple
     dual: tuple

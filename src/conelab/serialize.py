@@ -20,7 +20,6 @@ encodes with indent in pure Python, which is several times slower.
 import json
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from conelab import degrees as degrees_mod
@@ -255,7 +254,7 @@ def family_from_dict(d):
 
 def point_to_dict(X):
     """The named coordinates of a Rank3Element or a DualRank3Element."""
-    names = [f.name for f in fields(X)]
+    names = X._fields
     out = {k: rational_to_str(getattr(X, k)) for k in names[:3]}
     out.update((k, _rat_list(getattr(X, k))) for k in names[3:])
     return out
@@ -265,7 +264,7 @@ dual_point_to_dict = point_to_dict
 
 
 def _point_from_dict(d, F, cls, build, where):
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
     _require_keys(d, names[:3], names[3:], where)
     diag = [parse_rational(d[k]) for k in names[:3]]
     dims = (F.r, F.s, F.n)

@@ -14,10 +14,14 @@ dense_rho_act, dense_group_compose and dense_ldl_decompose are the group
 action, the group product and the block elimination as they ran on dense
 matrices: the action and the product embed into N x N matrices, multiply and
 project back, and the elimination keeps every block as a dense matrix.
+scalar_mul and mat_sub are the dense matrix operations it needs.
+
+dense_solve_linear is linalg.solve_linear as it ran over Fractions: Gaussian
+elimination with the first nonzero pivot in each column, then back
+substitution.
 """
 
 from conelab import _kernels as kernels
-from conelab import linalg
 from conelab.core import (
     BlockPartition,
     ConditionReport,
@@ -39,6 +43,42 @@ from conelab.errors import (
 )
 from conelab.linalg import exact_inv, vec_matrix
 from conelab.serialize import _parse_index, _parse_list, _require_keys
+
+
+def scalar_mul(c, A):
+    return [[c * e if e else 0 for e in row] for row in A]
+
+
+def mat_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def dense_solve_linear(A, b):
+    """Solve A·x = b over Fractions; raises StructureError if A is singular."""
+    n = len(A)
+    M = [list(row) + [bv] for row, bv in zip(A, b)]
+    for k in range(n):
+        piv_row = next((i for i in range(k, n) if M[i][k]), None)
+        if piv_row is None:
+            raise StructureError("singular system")
+        if piv_row != k:
+            M[k], M[piv_row] = M[piv_row], M[k]
+        inv = exact_inv(M[k][k])
+        for i in range(k + 1, n):
+            c = M[i][k]
+            if c:
+                f = c * inv
+                for j in range(k, n + 1):
+                    if M[k][j]:
+                        M[i][j] -= f * M[k][j]
+    x = [0] * n
+    for k in range(n - 1, -1, -1):
+        acc = M[k][n]
+        for j in range(k + 1, n):
+            if M[k][j] and x[j]:
+                acc -= M[k][j] * x[j]
+        x[k] = acc * exact_inv(M[k][k])
+    return x
 
 
 def dense_basis(V, k, j):
@@ -249,7 +289,7 @@ def dense_ldl_decompose(x, V):
             continue
         inv = exact_inv(d)
         for k, X in col:
-            unit_cols[(k, j)] = linalg.scalar_mul(inv, X)
+            unit_cols[(k, j)] = scalar_mul(inv, X)
             c = kernels.sym_pair_scalar(X, X)
             if c is None:
                 raise StructureError(
@@ -264,12 +304,12 @@ def dense_ldl_decompose(x, V):
                 P = kernels.mat_mul_t(X, Y)
                 if not any(any(row) for row in P):
                     continue
-                update = linalg.scalar_mul(inv, P)
+                update = scalar_mul(inv, P)
                 cur = blocks.get((k, j2))
                 blocks[(k, j2)] = (
-                    linalg.mat_sub(cur, update)
+                    mat_sub(cur, update)
                     if cur is not None
-                    else linalg.scalar_mul(-1, update)
+                    else scalar_mul(-1, update)
                 )
     if all(p > 0 for p in pivots):
         status = "positive"

@@ -4,9 +4,12 @@ rho_act, group_compose and ldl_decompose work on sparse blocks; the dense
 bodies they replaced live in dense_oracle.py. Both must give equal results on
 interior, boundary, indefinite, unconstrained and undefined points, and the
 same exception type, block and message when the action leaves the space.
+rho_act and group_compose scale Fraction inputs to integers and divide once at
+the end; points whose every coordinate is a Fraction exercise that path.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -152,3 +155,56 @@ def test_no_dense_matrix_on_the_action_path(monkeypatch):
     x = rho_act(h, core.identity_element(V), V)
     assert ldl_decompose(x, V).status == "positive"
     assert group_compose(h, h2, V).diag == tuple(a * b for a, b in zip(h.diag, h2.diag))
+
+
+def _fraction(rng, nonzero=False):
+    """A rational with denominator 2..10 that is not an integer."""
+    while True:
+        q = Fraction(rng.randint(-100, 100), rng.randint(2, 10))
+        if q.denominator > 1 and (q or not nonzero):
+            return q
+
+
+def _fraction_coords(V, rng):
+    return {key: tuple(_fraction(rng) for _ in range(V.dim(*key))) for key in V.spaces()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["doubled-4", "doubled-5", "3_5_7-cone", "3_5_7-dual"])
+def test_integer_scaled_action_matches_dense_oracle(name, seed):
+    """Fraction coordinates everywhere: the integer path equals the dense one."""
+    V = CONES[name]()
+    rng = random.Random("%s-%d" % (name, seed))
+    diag = lambda: tuple(_fraction(rng, nonzero=True) for _ in range(V.r))
+    h = group_element(V, diag(), _fraction_coords(V, rng))
+    h2 = group_element(V, diag(), _fraction_coords(V, rng))
+    x = cone_element(V, diag(), _fraction_coords(V, rng))
+    got = rho_act(h, x, V)
+    assert got == dense_rho_act(h, x, V)
+    assert group_compose(h, h2, V) == dense_group_compose(h, h2, V)
+    # integer and Fraction arguments mixed: only one side is scaled
+    one = group_element(V, (1,) * V.r)
+    assert rho_act(one, x, V) == x
+    assert rho_act(h, core.identity_element(V), V) == dense_rho_act(
+        h, core.identity_element(V), V
+    )
+    assert group_compose(one, h, V) == h == group_compose(h, one, V)
+
+
+def test_integer_scaled_closure_violation_matches_dense_oracle():
+    """Scaling keeps the failing block and message of the unscaled action."""
+    V = VCollection(
+        BlockPartition((1, 1, 1)),
+        {(2, 1): [[[1]]], (3, 2): [[[1]]]},
+    )
+    h = group_element(
+        V, (Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)), {(3, 2): (Fraction(3, 4),)}
+    )
+    x = cone_element(V, (Fraction(1, 3), 1, Fraction(9, 4)), {(2, 1): (Fraction(1, 5),)})
+    got = _outcome(rho_act, h, x, V)
+    assert got == _outcome(dense_rho_act, h, x, V)
+    assert got[:2] == (ClosureViolationError, (3, 1))
+    h2 = group_element(V, (Fraction(7, 2), 1, 1), {(2, 1): (Fraction(1, 6),)})
+    got = _outcome(group_compose, h, h2, V)
+    assert got == _outcome(dense_group_compose, h, h2, V)
+    assert got[:2] == (ClosureViolationError, (3, 1))

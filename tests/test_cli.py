@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +7,7 @@ import pytest
 
 import conelab
 from conelab import cli, serialize
-from conelab.core import BlockPartition, VCollection, cone_element, group_element
+from conelab.core import BlockPartition, LdlResult, VCollection, group_element
 from conelab.doubling import iterate_construction
 from conelab.rank3 import bundled_family_3_5_7
 
@@ -155,7 +154,12 @@ def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
     def wrong_unit(x, V):
         res = true_ldl(x, V)
         unit = group_element(V, (1, 1), {(2, 1): (0, 1)})
-        return dataclasses.replace(res, unit=unit)
+        return LdlResult(
+            pivots=res.pivots,
+            unit=unit,
+            is_member=res.is_member,
+            status=res.status,
+        )
 
     monkeypatch.setattr(cli, "ldl_decompose", wrong_unit)
     code, out, err = run(capsys, "member", "--cone", cone, "--point", str(point))

@@ -16,7 +16,6 @@ from conelab.core import (
     BlockPartition,
     VCollection,
     cone_element,
-    dual_pairing_positive,
     element_is_zero,
     embed,
     embed_group,
@@ -534,20 +533,3 @@ def test_ldl_pivots_are_equivariant(rank):
         assert len(d) == rank
         moved = ldl_decompose(rho_act(h, x, V), V).pivots
         assert moved == tuple(a * a * p for a, p in zip(h.diag, d))
-
-
-def test_dual_pairing_positive(omega2):
-    sampler = RationalSampler(seed=13)
-    samples = [sampler.interior_element(omega2) for _ in range(6)]
-    samples.append(sampler.boundary_element(omega2, zeros=1))
-    y = identity_element(omega2)
-    report = dual_pairing_positive(y, samples, omega2)
-    assert report.all_positive and report.checked == 7
-    # a non-member direction fails against some interior point
-    bad = cone_element(omega2, (1, 1), {(2, 1): (2, 0)})
-    with pytest.raises(ValueError):
-        dual_pairing_positive(y, [bad], omega2)
-    far = cone_element(omega2, (1, -1))
-    report = dual_pairing_positive(far, samples, omega2)
-    assert not report.all_positive
-    assert report.failures

@@ -8,18 +8,16 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import conelab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(conelab.__file__)))
 
 
-def _loaded_after(statement):
-    """Names of the conelab modules loaded by running statement in a child."""
-    code = (
-        "import sys\n%s\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('conelab'))))"
-        % statement
-    )
+def _modules_after(statement):
+    """Names of every module loaded by running statement in a child."""
+    code = "import sys\n%s\nprint(' '.join(sorted(sys.modules)))" % statement
     child = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60,
@@ -27,6 +25,11 @@ def _loaded_after(statement):
     )
     assert child.returncode == 0, child.stderr
     return set(child.stdout.split())
+
+
+def _loaded_after(statement):
+    """Names of the conelab modules loaded by running statement in a child."""
+    return {m for m in _modules_after(statement) if m.startswith("conelab")}
 
 
 def test_import_package_loads_no_module():
@@ -37,6 +40,15 @@ def test_import_cli_skips_rank3_sampling_and_poly():
     loaded = _loaded_after("import conelab.cli")
     assert "conelab.cli" in loaded
     assert not loaded & {"conelab.rank3", "conelab.sampling", "conelab.poly"}
+
+
+@pytest.mark.parametrize(
+    "statement", ["import conelab.cli", "import conelab.rank3, conelab.sampling"]
+)
+def test_records_load_neither_dataclasses_nor_inspect(statement):
+    loaded = _modules_after(statement)
+    assert "conelab.core" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_every_public_name_resolves():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conelab import linalg
 from conelab.errors import StructureError
+from tests.dense_oracle import dense_solve_linear, mat_sub, scalar_mul
 from tests.test_kernels import naive_det, naive_mat_mul
 
 
@@ -22,8 +23,8 @@ def test_identity_zeros_transpose():
 def test_mat_vec_and_arithmetic():
     A = [[1, 2], [3, 4]]
     assert linalg.mat_vec(A, [1, -1]) == [-1, -1]
-    assert linalg.mat_sub(A, A) == [[0, 0], [0, 0]]
-    assert linalg.scalar_mul(Fraction(1, 2), A) == [
+    assert mat_sub(A, A) == [[0, 0], [0, 0]]
+    assert scalar_mul(Fraction(1, 2), A) == [
         [Fraction(1, 2), 1],
         [Fraction(3, 2), 2],
     ]
@@ -118,6 +119,47 @@ def test_solve_linear():
     assert linalg.mat_vec(A, x) == b
     with pytest.raises(StructureError, match="singular"):
         linalg.solve_linear([[1, 1], [1, 1]], [1, 0])
+
+
+def test_solve_linear_matches_fraction_gauss():
+    """The fraction-free solve against the Fraction elimination it replaced."""
+    half = Fraction(1, 2)
+    # zero leading entry: the first column needs a row swap, twice over
+    swap = [[0, 2, 1], [0, half, 3], [Fraction(1, 3), 1, 0]]
+    b = [1, Fraction(-2, 7), 5]
+    assert linalg.solve_linear(swap, b) == dense_solve_linear(swap, b)
+    assert linalg.mat_vec(swap, linalg.solve_linear(swap, b)) == b
+    singular = [[half, 1, 0], [1, 2, 0], [0, 0, Fraction(3, 5)]]
+    for solve in (linalg.solve_linear, dense_solve_linear):
+        with pytest.raises(StructureError, match="singular"):
+            solve(singular, [1, 1, 1])
+    assert linalg.solve_linear([], []) == dense_solve_linear([], []) == []
+    # rows that skip pivot columns, then take part: each step leaves most
+    # rows as they are and divides a row by the pivot it last saw
+    arrow = [
+        [3, 0, 0, 1, Fraction(2, 3)],
+        [0, 3, 0, 0, 1],
+        [0, 0, 3, Fraction(-1, 2), 1],
+        [1, 0, Fraction(-1, 2), 5, 0],
+        [Fraction(2, 3), 1, 1, 0, 5],
+    ]
+    b = [1, Fraction(1, 4), 0, -2, 3]
+    assert linalg.solve_linear(arrow, b) == dense_solve_linear(arrow, b)
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        A = [
+            [_rand_frac(rng) if rng.random() < 0.6 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        b = [_rand_frac(rng) for _ in range(n)]
+        try:
+            want = dense_solve_linear(A, b)
+        except StructureError:
+            with pytest.raises(StructureError, match="singular"):
+                linalg.solve_linear(A, b)
+            continue
+        assert linalg.solve_linear(A, b) == want
 
 
 def test_solve_linear_random_residuals():
