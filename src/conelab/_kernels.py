@@ -96,67 +96,67 @@ def sym_pair_scalar(X, Y):
     return _halve(c2)
 
 
-def bareiss_minors(A):
-    """All leading principal minors of an integer matrix, fraction-free.
+def bareiss_eliminate(M, n):
+    """Fraction-free (Bareiss) elimination of the first n columns, in place.
 
-    Returns (minors, completed). The k-th entry is the k×k leading minor.
-    A zero minor stops the recurrence (its successor needs division by it),
-    so completed is False and the list is short unless the zero occurs in
-    the last position.
+    M is a list of integer rows at least n wide; the pivot of column k is the
+    first nonzero entry at or below row k. Bareiss would multiply a row with
+    a zero in the pivot column by p_k / p_(k-1); these factors telescope, so
+    such a row is left as it is and den[i] records the pivot it was last
+    divided by: it is the Bareiss row times den[i] / p_(k-1), and it is
+    brought up to date when it becomes the pivot row. Returns (pivots, perm,
+    sign): with the rows in the order perm (sign its parity), pivots[k] is
+    the leading (k+1) x (k+1) minor, and M is left in that order as the
+    Bareiss echelon form. A column without a pivot ends the elimination, so
+    pivots is shorter than n exactly when the first n columns are dependent.
     """
-    n = len(A)
-    M = [list(row) for row in A]
-    minors = []
+    den = [1] * len(M)
+    perm = list(range(len(M)))
+    pivots = []
+    sign = 1
     prev = 1
     for k in range(n):
-        piv = M[k][k]
-        minors.append(piv)
-        if k == n - 1:
-            return minors, True
-        if piv == 0:
-            return minors, False
+        piv_row = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if piv_row is None:
+            break
+        if piv_row != k:
+            M[k], M[piv_row] = M[piv_row], M[k]
+            den[k], den[piv_row] = den[piv_row], den[k]
+            perm[k], perm[piv_row] = perm[piv_row], perm[k]
+            sign = -sign
         Mk = M[k]
-        for i in range(k + 1, n):
+        width = len(Mk)
+        if den[k] != prev:
+            d = den[k]
+            for j in range(k, width):
+                if Mk[j]:
+                    Mk[j] = Mk[j] * prev // d
+        p = Mk[k]
+        for i in range(k + 1, len(M)):
             Mi = M[i]
-            mik = Mi[k]
-            for j in range(k + 1, n):
-                Mi[j] = (Mi[j] * piv - mik * Mk[j]) // prev
-        prev = piv
-    return minors, True
+            c = Mi[k]
+            if c:
+                d = den[i]
+                for j in range(k + 1, width):
+                    b = Mk[j]
+                    if b:
+                        Mi[j] = (Mi[j] * p - c * b) // d
+                    elif Mi[j]:
+                        Mi[j] = Mi[j] * p // d
+                Mi[k] = 0
+                den[i] = p
+        pivots.append(p)
+        prev = p
+    return pivots, perm, sign
 
 
 def bareiss_det(A):
     """Exact determinant of an integer matrix, fraction-free with pivoting."""
     n = len(A)
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        Mk = M[k]
-        piv = Mk[k]
-        for i in range(k + 1, n):
-            Mi = M[i]
-            mik = Mi[k]
-            if mik:
-                for j in range(k + 1, n):
-                    Mi[j] = (Mi[j] * piv - mik * Mk[j]) // prev
-                Mi[k] = 0
-            elif prev != piv:
-                for j in range(k + 1, n):
-                    if Mi[j]:
-                        Mi[j] = (Mi[j] * piv) // prev
-        prev = piv
-    return sign * M[n - 1][n - 1]
+    pivots, _, sign = bareiss_eliminate([list(row) for row in A], n)
+    if len(pivots) < n:
+        return 0
+    return sign * pivots[-1] if n else 1
 
 
 def sparse_entries(M):

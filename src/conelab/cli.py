@@ -10,9 +10,8 @@ import argparse
 import sys
 
 from conelab import degrees as degrees_mod
-from conelab import doubling, serialize
+from conelab import serialize
 from conelab._record import Record
-from conelab.core import cone_element, ldl_decompose, rho_act, verify_v_conditions
 from conelab.errors import (
     ClosureViolationError,
     InconsistentDimsError,
@@ -129,7 +128,10 @@ def cmd_sigma(cfg):
 
 def _verified_construction(r):
     """iterate_construction(r) after its single verification pass."""
-    V = doubling.iterate_construction(r)
+    from conelab.core import verify_v_conditions
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(r)
     if not verify_v_conditions(V).passed:
         raise CommandFailure(EXIT_INTERNAL, "constructed realization fails (V1)-(V3)")
     return V
@@ -161,7 +163,9 @@ def cmd_theorem(cfg):
 
 def cmd_double(cfg):
     V = _load_realization(cfg.options["infile"])
-    _emit(serialize.realization_to_dict(doubling.double(V)), cfg.options.get("out"))
+    from conelab.doubling import double
+
+    _emit(serialize.realization_to_dict(double(V)), cfg.options.get("out"))
     return EXIT_OK
 
 
@@ -176,6 +180,8 @@ def cmd_member(cfg):
     point = _load(
         cfg.options["point"], lambda d: serialize.element_from_dict(d, V), "point"
     )
+    from conelab.core import cone_element, ldl_decompose, rho_act
+
     result = ldl_decompose(point, V)
     # the certificate: a defined factorization rebuilds the point exactly
     if result.unit is not None:
@@ -190,6 +196,9 @@ def cmd_member(cfg):
 
 def cmd_verify(cfg):
     V = _load_realization(cfg.options["infile"])
+    # imported after the load, so a malformed file compiles no solver
+    from conelab.core import verify_v_conditions
+
     report = verify_v_conditions(V)
     _emit(serialize.verification_report_to_dict(report))
     return EXIT_OK if report.passed else EXIT_SEMANTIC

@@ -9,6 +9,8 @@ characters on the diagonal part of the acting group.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from conelab._record import Record
 from conelab.errors import InconsistentDimsError
 
@@ -95,26 +97,26 @@ def sigma_from_dims(table):
     """
     r = table.r
     cols = {
-        i: [table.d(k, i) if k > i else 0 for k in range(1, r + 1)]
+        i: tuple(table.d(k, i) if k > i else 0 for k in range(1, r + 1))
         for i in range(1, r)
     }
     epsilons = {}
     trace = []
     for i in range(1, r):
-        l_vec = list(cols[i])
-        stages = [(i, tuple(l_vec))]
+        l_vec = cols[i]
+        stages = [(i, l_vec)]
         for k in range(i + 1, r):
             if l_vec[k - 1] > 0:
-                l_vec = [a - b for a, b in zip(l_vec, cols[k])]
-                bad = next((m for m in range(r) if l_vec[m] < 0), None)
-                if bad is not None:
+                l_vec = tuple(map(sub, l_vec, cols[k]))
+                if min(l_vec) < 0:
+                    bad = next(m for m in range(r) if l_vec[m] < 0)
                     raise InconsistentDimsError(
                         "dimension table not consistent with a homogeneous cone: "
                         "column %d goes negative in slot %d at stage %d"
                         % (i, bad + 1, k),
-                        detail=(i, k, tuple(l_vec)),
+                        detail=(i, k, l_vec),
                     )
-            stages.append((k, tuple(l_vec)))
+            stages.append((k, l_vec))
         eps = tuple(1 if l_vec[j - 1] > 0 else 0 for j in range(i + 1, r + 1))
         epsilons[i] = eps
         trace.append(SigmaTraceStep(i=i, stages=tuple(stages), epsilon=eps))
@@ -126,7 +128,7 @@ def sigma_from_dims(table):
         for j in range(i + 1, r + 1):
             if eps[j - i - 1]:
                 row = sigma[j - 1]
-                sigma[j - 1] = [a + b for a, b in zip(row, base)]
+                sigma[j - 1] = list(map(add, row, base))
     return SigmaMatrix(rows=tuple(tuple(row) for row in sigma), trace=tuple(trace))
 
 

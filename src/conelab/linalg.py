@@ -62,12 +62,6 @@ def exact_div(a, b):
     return a * exact_inv(b)
 
 
-def _as_int_ratio(x):
-    if isinstance(x, int):
-        return x, 1
-    return x.numerator, x.denominator
-
-
 def normalize_rational(x):
     """Collapse Fractions with denominator 1 to plain ints."""
     if isinstance(x, Fraction) and x.denominator == 1:
@@ -80,93 +74,49 @@ def clear_denominators(A):
     scale = 1
     for row in A:
         for e in row:
-            _, den = _as_int_ratio(e)
-            scale = scale * den // math.gcd(scale, den)
-    out = []
-    for row in A:
-        int_row = []
-        for e in row:
-            num, den = _as_int_ratio(e)
-            int_row.append(num * (scale // den))
-        out.append(int_row)
+            if not isinstance(e, int):
+                den = e.denominator
+                if scale % den:
+                    scale = scale * den // math.gcd(scale, den)
+    out = [
+        [e * scale if isinstance(e, int) else e.numerator * (scale // e.denominator)
+         for e in row]
+        for row in A
+    ]
     return out, scale
 
 
 def det_exact(A):
-    """Determinant of a square rational matrix."""
+    """Determinant of a square rational matrix.
+
+    The rows and columns are reordered alike, sparsest row first, which
+    keeps the determinant: the elimination then meets the dense rows last,
+    and rows with a zero in the pivot column cost nothing.
+    """
     n = len(A)
     if n == 0:
         return 1
-    A_int, scale = clear_denominators(A)
+    order = sorted(range(n), key=lambda i: n - A[i].count(0))
+    A_int, scale = clear_denominators([[A[i][j] for j in order] for i in order])
     d = kernels.bareiss_det(A_int)
     return normalize_rational(Fraction(d, scale**n))
-
-
-def leading_principal_minors(A):
-    """Leading principal minors of a square rational matrix.
-
-    Returns (minors, completed); completed is False when a zero minor stopped
-    the fraction-free recurrence before the last position.
-    """
-    A_int, scale = clear_denominators(A)
-    raw, completed = kernels.bareiss_minors(A_int)
-    minors = [
-        normalize_rational(Fraction(m, scale ** (k + 1))) for k, m in enumerate(raw)
-    ]
-    return minors, completed
-
-
-def is_positive_definite_minors(A):
-    """Sylvester test: all leading principal minors positive.
-
-    The independent membership oracle; returns (verdict, minors).
-    """
-    minors, completed = leading_principal_minors(A)
-    return completed and all(m > 0 for m in minors), minors
 
 
 def solve_linear(A, b):
     """Solve A·x = b exactly; raises StructureError if A is singular.
 
-    Fraction-free: [A | b] is scaled to integers and reduced by Bareiss
-    elimination, the pivot in each column being the first nonzero entry at
-    or below the diagonal. Bareiss would multiply a row with a zero in the
-    pivot column by p_k / p_(k-1); these factors telescope, so such a row is
-    left as it is and den[i] records the pivot it was last divided by: it
-    is the Bareiss row times den[i] / p_(k-1), and its next update divides
-    by den[i]. The last pivot D is det(A) up to sign, back substitution
-    finds the integers D·x_k, and each unknown costs one exact division.
+    Fraction-free: [A | b] is scaled to integers and reduced by
+    kernels.bareiss_eliminate. The last pivot D is det(A) up to sign, back
+    substitution finds the integers D·x_k, and each unknown costs one exact
+    division.
     """
     n = len(A)
     M, _ = clear_denominators([list(row) + [bv] for row, bv in zip(A, b)])
-    den = [1] * n
-    prev = 1
-    for k in range(n):
-        piv_row = next((i for i in range(k, n) if M[i][k]), None)
-        if piv_row is None:
-            raise StructureError("singular system")
-        if piv_row != k:
-            M[k], M[piv_row] = M[piv_row], M[k]
-            den[k], den[piv_row] = den[piv_row], den[k]
-        Mk = M[k]
-        if den[k] != prev:
-            d = den[k]
-            for j in range(k, n + 1):
-                if Mk[j]:
-                    Mk[j] = Mk[j] * prev // d
-        p = Mk[k]
-        for i in range(k + 1, n):
-            Mi = M[i]
-            c = Mi[k]
-            if c:
-                d = den[i]
-                for j in range(k + 1, n + 1):
-                    Mi[j] = (Mi[j] * p - c * Mk[j]) // d
-                Mi[k] = 0
-                den[i] = p
-        prev = p
+    pivots, _, _ = kernels.bareiss_eliminate(M, n)
+    if len(pivots) < n:
+        raise StructureError("singular system")
     # y_k = D x_k are integers (Cramer), and M[k][k] divides the right side
-    D = prev
+    D = pivots[-1] if n else 1
     y = [0] * n
     for k in range(n - 1, -1, -1):
         Mk = M[k]

@@ -25,6 +25,8 @@ instead; the generic layout presumes r >= 1.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
+from math import comb
 
 from conelab import _kernels as kernels
 from conelab import linalg, poly
@@ -242,17 +244,20 @@ class CompositionReport(Record):
 
 
 def verify_composition(F):
-    """Check tA_i A_j + tA_j A_i = 2 delta_ij I_s for all pairs, exactly."""
-    for i in range(F.r):
-        ti = linalg.transpose(F.mats[i])
+    """Check tA_i A_j + tA_j A_i = 2 delta_ij I_s for all pairs, exactly.
+
+    Only the nonzero products tA_i A_j, j >= i, are formed, over the
+    nonzeros of the A_i (kernels.space_join); a pair without one passes for
+    i != j and, unless s = 0, fails for i = j.
+    """
+    mats = [kernels.sparse_entries(A) for A in F.mats]
+    left = [[(v, u, e) for u, v, e in A] for A in mats]
+    join = kernels.space_join(left, kernels.space_index(mats, True), F.s, upper=True)
+    products = {(i, j): P for i, j, P in join}
+    for i in range(F.r if F.s else 0):
         for j in range(i, F.r):
-            prod = kernels.mat_mul(ti, F.mats[j])
-            want = 2 if i == j else 0
-            for u in range(F.s):
-                for v in range(F.s):
-                    val = prod[u][v] + prod[v][u]
-                    if val != (want if u == v else 0):
-                        return CompositionReport(False, (i + 1, j + 1))
+            if kernels.sym_scalar(products.get((i, j), {}), F.s) != (i == j):
+                return CompositionReport(False, (i + 1, j + 1))
     return CompositionReport(True)
 
 
@@ -531,7 +536,7 @@ def _Rt_apply(F, ys, zs):
     return out
 
 
-def _det_factors(F, x11, x22, x33, x, y, z):
+def _det_factors(F, x11, x22, x33, x, y, z, w=None):
     """Pairs (f, e) with det embed_rank3 = prod f^e, on numbers or Polys.
 
     Generic layout: (x11, q2, D3) to (n-r-1, r-1, 1) with q2 = x11 x22 - |y|^2
@@ -539,7 +544,9 @@ def _det_factors(F, x11, x22, x33, x, y, z):
     bracket is divisible by x11 and its cubic quotient is D3. The r = 0 layout
     is block diagonal: (x11, q2, q3) to (s+n-2, 1, 1). Only dual_family of an
     r = 0 family has s = 0; there q2 = x11 x22 splits, giving (x11, x22,
-    x11 x22 x33 - x22 |z|^2 - x11 |x|^2) to (n-1, r-1, 1).
+    x11 x22 x33 - x22 |z|^2 - x11 |x|^2) to (n-1, r-1, 1). w is tR(y)z, when
+    the caller has it already. Each factor is homogeneous: x11 and x22 of
+    degree 1, q2 and q3 of degree 2, the cubic 3 and the quartic 4.
     """
     r, s, n = F.r, F.s, F.n
     if s == 0:
@@ -549,7 +556,8 @@ def _det_factors(F, x11, x22, x33, x, y, z):
     q3 = x11 * x33 - poly.pnorm2(z)
     if r == 0:
         return (x11, s + n - 2), (q2, 1), (q3, 1)
-    w = _Rt_apply(F, y, z)
+    if w is None:
+        w = _Rt_apply(F, y, z)
     if r == n:
         cubic = (
             x11 * x22 * x33
@@ -563,16 +571,28 @@ def _det_factors(F, x11, x22, x33, x, y, z):
     return (x11, n - r - 1), (q2, r - 1), (quart, 1)
 
 
-def _det(F, *coords):
+def _scaled(X):
+    """(Y, L): the point X times the lcm L of its denominators, in integers."""
+    (v,), L = linalg.clear_denominators([primal_values(X)])
+    rest = iter(v[3:])
+    vecs = [tuple(islice(rest, len(getattr(X, k)))) for k in X._fields[3:]]
+    return type(X)(*v[:3], *vecs), L
+
+
+def _det(F, Y, L, w=None):
+    """det embed_rank3 at Y / L, formed over the integer point Y (w is
+    tR(y)z at Y, if known). The determinant is homogeneous of degree N, the
+    size of the matrix, so one division by L^N undoes the scaling."""
     val = 1
-    for f, e in _det_factors(F, *coords):
+    for f, e in _det_factors(F, Y.x11, Y.x22, Y.x33, Y.x, Y.y, Y.z, w):
         val = val * f**e
-    return linalg.normalize_rational(val)
+    N = F.s + F.n + 2 if F.r == 0 else F.n + F.r + 1
+    return linalg.normalize_rational(Fraction(val, L**N))
 
 
 def det_rank3_closed(X, F):
     """Closed-form determinant of embed_rank3(X, F); see _det_factors."""
-    return _det(F, X.x11, X.x22, X.x33, X.x, X.y, X.z)
+    return _det(F, *_scaled(X))
 
 
 def det_rank3_dual_closed(Xi, F):
@@ -589,15 +609,11 @@ def det_rank3_dual_closed(Xi, F):
 
 
 def coupling(X, Xi):
-    """x11 xi11 + x22 xi22 + x33 xi33 + 2<x,xi> + 2<y,eta> + 2<z,zeta>."""
-    return linalg.normalize_rational(
-        X.x11 * Xi.xi11
-        + X.x22 * Xi.xi22
-        + X.x33 * Xi.xi33
-        + 2 * poly.pdot(X.x, Xi.xi)
-        + 2 * poly.pdot(X.y, Xi.eta)
-        + 2 * poly.pdot(X.z, Xi.zeta)
-    )
+    """x11 xi11 + x22 xi22 + x33 xi33 + 2<x,xi> + 2<y,eta> + 2<z,zeta>,
+    formed on both points scaled to integers and divided once."""
+    (a, b), L = linalg.clear_denominators([primal_values(X), primal_values(Xi)])
+    val = 2 * kernels.dot(a, b) - a[0] * b[0] - a[1] * b[1] - a[2] * b[2]
+    return linalg.normalize_rational(Fraction(val, L * L))
 
 
 class CouplingDecomposition(Record):
@@ -615,8 +631,13 @@ def coupling_decomposition_check(X, Xi, F):
     xi33 > 0, and xi22 - |xi|^2/xi33 > 0, so every auxiliary quantity below
     is defined. Also cross-checks the two closed-form determinant ratios
     produced by the same elimination.
+
+    Both sides are homogeneous of degree one in each point and each ratio
+    in its point, so the check runs on both points scaled to integers (no
+    sign changes) and divides lhs and rhs once at the end.
     """
     r, s, n = F.r, F.s, F.n
+    (X, L), (Xi, Ld) = _scaled(X), _scaled(Xi)
     x11 = X.x11
     if not x11 > 0:
         raise StructureError("x11 must be positive")
@@ -640,12 +661,13 @@ def coupling_decomposition_check(X, Xi, F):
     head, *rest = embed_rank3_dual(Xi, F)
     big = [row[1:] for row in rest]
     v_vec = head[1:]
-    B = linalg.solve_linear(big, v_vec)
-    xidd11 = Xi.xi11 - poly.pdot(v_vec, B)
+    # the solution of big B' = v is B' = B / LB, B in integers
+    (B,), LB = linalg.clear_denominators([linalg.solve_linear(big, v_vec)])
+    xidd11 = Xi.xi11 - Fraction(kernels.dot(v_vec, B), LB)
 
-    u_vec = list(X.y) + list(X.z)
-    C = [bv + linalg.exact_div(uv, x11) for bv, uv in zip(B, u_vec)]
-    CXC = poly.pdot(C, linalg.mat_vec(big, C))
+    # C = B / LB + (y, z) / x11, and C^T big C over the nonzeros of big
+    C = [bv * x11 + uv * LB for bv, uv in zip(B, list(X.y) + list(X.z))]
+    CXC = Fraction(kernels.dot(C, [kernels.dot(row, C) for row in big]), (LB * x11) ** 2)
     d = [
         linalg.exact_div(xiv, xi33) + linalg.exact_div(xtv, xt22)
         for xiv, xtv in zip(Xi.xi, xt)
@@ -658,20 +680,16 @@ def coupling_decomposition_check(X, Xi, F):
     lhs = coupling(X, Xi)
 
     q2 = x11 * X.x22 - poly.pnorm2(X.y)
-    if r == 0:
-        primal_ok = xdd33 * x11 ** (s + n - 1) * q2 == det_rank3_closed(X, F)
-    else:
-        primal_ok = (
-            xdd33 * x11 ** (n - r) * q2**r == det_rank3_closed(X, F)
-        )
+    e1, e2 = (s + n - 1, 1) if r == 0 else (n - r, r)
+    primal_ok = xdd33 * x11**e1 * q2**e2 == _det(F, X, 1, w)
     q2d = Xi.xi22 * xi33 - poly.pnorm2(Xi.xi)
     dual_ok = (
         xidd11 * xi33 ** (n - s) * q2d**s == det_rank3_dual_closed(Xi, F)
     )
     return CouplingDecomposition(
         passed=(lhs == rhs) and primal_ok and dual_ok,
-        lhs=linalg.normalize_rational(lhs),
-        rhs=linalg.normalize_rational(rhs),
+        lhs=linalg.normalize_rational(Fraction(lhs, L * Ld)),
+        rhs=linalg.normalize_rational(Fraction(rhs, L * Ld)),
         det_ratio_primal_ok=primal_ok,
         det_ratio_dual_ok=dual_ok,
     )
@@ -835,7 +853,8 @@ def classify_degrees(r, s, n):
 
     Input is normalized to r <= s by swapping (the swap dualizes, so degrees
     are reported for the normalized triple). Rejects non-realizable shapes:
-    r = s = n outside {1, 2, 4, 8}, and r < s = n with r beyond rho(n).
+    r = s = n outside {1, 2, 4, 8}, r < s = n with r beyond rho(n), and
+    s < n with an odd C(n, k), n - s < k < r (naming the first such k).
     """
     for name, v in (("r", r), ("s", s), ("n", n)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -866,6 +885,14 @@ def classify_degrees(r, s, n):
                 )
             case = 2
     else:
+        # Hopf-Stiefel: a family is a nonsingular bilinear map R^r x R^s ->
+        # R^n, which needs C(n, k) even for n - s < k < r
+        k = next((k for k in range(n - s + 1, r) if comb(n, k) % 2), None)
+        if k is not None:
+            raise StructureError(
+                "no composition family of shape (%d, %d, %d) (Hopf-Stiefel):"
+                " C(%d, %d) = %d is odd" % (r, s, n, n, k, comb(n, k))
+            )
         case = 3
     primal, dual = _PUBLISHED[case]
     derived_primal = degrees_from_sigma(

@@ -11,10 +11,12 @@ skips every exact "0" string, parses the other values and hands the nonzeros
 to VCollection.from_entries, so no dense matrix is built either way.
 
 dumps_canonical writes the same bytes as json.dumps(obj, sort_keys=True,
-indent=2) plus a newline, but it is a small recursive writer: strings go
-through the C string encoder of the json module, ints through int.__repr__,
-and a flat list of strings or ints is joined in one call. json.dumps
-encodes with indent in pure Python, which is several times slower.
+indent=2) plus a newline, but it is a small recursive writer that appends
+to one list of parts and joins it once, so each output byte is copied once:
+strings go through the C string encoder of the json module, ints through
+int.__repr__, and a flat list of strings or ints is joined in one call.
+json.dumps encodes with indent in pure Python, which is several times
+slower.
 """
 
 import json
@@ -23,9 +25,7 @@ import sys
 from fractions import Fraction
 
 from conelab import degrees as degrees_mod
-from conelab.core import BlockPartition, VCollection
 from conelab.errors import SerializationError
-from conelab.linalg import normalize_rational
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -54,7 +54,8 @@ def parse_rational(value):
         try:
             if "/" in value:
                 num, den = value.split("/")
-                return normalize_rational(Fraction(int(num), int(den)))
+                q = Fraction(int(num), int(den))
+                return q.numerator if q.denominator == 1 else q
             return int(value)
         except ValueError as exc:
             raise _too_long("rational with") from exc
@@ -62,9 +63,10 @@ def parse_rational(value):
 
 
 def rational_to_str(value):
-    value = normalize_rational(value)
     try:
         if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return str(value.numerator)
             return "%d/%d" % (value.numerator, value.denominator)
         return str(value)
     except ValueError as exc:
@@ -126,6 +128,8 @@ def realization_to_dict(V):
 
 
 def realization_from_dict(d):
+    from conelab.core import BlockPartition, VCollection
+
     _require_keys(d, ("partition", "spaces"), (), "realization")
     if not isinstance(d["partition"], list) or not d["partition"]:
         raise SerializationError("partition must be a nonempty list")
@@ -388,31 +392,35 @@ def classification_to_dict(c):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _encode(obj, nl):
-    """obj as canonical JSON text; nl is the newline and indent of its line."""
+def _write(obj, nl, out):
+    """Append the canonical JSON text of obj to out; nl is its line's indent."""
     if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return int.__repr__(obj)
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        first = type(obj[0])
-        if first is str and all(type(e) is str for e in obj):
-            body = map(_quote, obj)
-        elif first is int and all(type(e) is int for e in obj):
-            body = map(int.__repr__, obj)
+        out.append(_quote(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj))
+    elif not isinstance(obj, (list, tuple, dict)) or not obj:
+        # empty containers, bool, None and float; TypeError on anything else
+        out.append(json.dumps(obj))
+    else:
+        inner = nl + "  "
+        sep = "," + inner
+        if isinstance(obj, dict):
+            head = "{" + inner
+            for key in sorted(obj):
+                out += (head, _quote(key), ": ")
+                head = sep
+                _write(obj[key], inner, out)
+            out += (nl, "}")
+        elif set(map(type, obj)) in ({str}, {int}):
+            body = map(_quote if type(obj[0]) is str else int.__repr__, obj)
+            out += ("[", inner, sep.join(body), nl, "]")
         else:
-            body = [_encode(e, inner) for e in obj]
-        return "[" + inner + ("," + inner).join(body) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = [_quote(key) + ": " + _encode(obj[key], inner) for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(body) + nl + "}"
-    # bool, None and float; json.dumps raises TypeError on anything else
-    return json.dumps(obj)
+            head = "[" + inner
+            for e in obj:
+                out.append(head)
+                head = sep
+                _write(e, inner, out)
+            out += (nl, "]")
 
 
 def dumps_canonical(obj):
@@ -421,7 +429,10 @@ def dumps_canonical(obj):
     Dict keys must be strings (TypeError otherwise); the wire formats use no
     other kind.
     """
-    return _encode(obj, "\n") + "\n"
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_file(path):

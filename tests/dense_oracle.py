@@ -19,7 +19,20 @@ scalar_mul and mat_sub are the dense matrix operations it needs.
 dense_solve_linear is linalg.solve_linear as it ran over Fractions: Gaussian
 elimination with the first nonzero pivot in each column, then back
 substitution.
+
+dense_verify_composition is rank3.verify_composition as it ran on dense
+matrices: every product tA_i A_j formed in full and every entry compared.
+
+dense_det is linalg.det_exact as plain Gaussian elimination over Fractions,
+the rows in their given order.
+
+bareiss_minors, leading_principal_minors and is_positive_definite_minors
+are the Sylvester test, the membership oracle of acceptance criterion 8:
+the leading principal minors by the fraction-free recurrence without
+pivoting.
 """
+
+from fractions import Fraction
 
 from conelab import _kernels as kernels
 from conelab.core import (
@@ -41,7 +54,7 @@ from conelab.errors import (
     SerializationError,
     StructureError,
 )
-from conelab.linalg import exact_inv, vec_matrix
+from conelab.linalg import clear_denominators, exact_inv, normalize_rational, vec_matrix
 from conelab.serialize import _parse_index, _parse_list, _require_keys
 
 
@@ -51,6 +64,93 @@ def scalar_mul(c, A):
 
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def bareiss_minors(A):
+    """All leading principal minors of an integer matrix, fraction-free.
+
+    Returns (minors, completed). The k-th entry is the k×k leading minor.
+    A zero minor stops the recurrence (its successor needs division by it),
+    so completed is False and the list is short unless the zero occurs in
+    the last position.
+    """
+    n = len(A)
+    M = [list(row) for row in A]
+    minors = []
+    prev = 1
+    for k in range(n):
+        piv = M[k][k]
+        minors.append(piv)
+        if k == n - 1:
+            return minors, True
+        if piv == 0:
+            return minors, False
+        Mk = M[k]
+        for i in range(k + 1, n):
+            Mi = M[i]
+            mik = Mi[k]
+            for j in range(k + 1, n):
+                Mi[j] = (Mi[j] * piv - mik * Mk[j]) // prev
+        prev = piv
+    return minors, True
+
+
+def leading_principal_minors(A):
+    """Leading principal minors of a square rational matrix.
+
+    Returns (minors, completed); completed is False when a zero minor stopped
+    the fraction-free recurrence before the last position.
+    """
+    A_int, scale = clear_denominators(A)
+    raw, completed = bareiss_minors(A_int)
+    minors = [
+        normalize_rational(Fraction(m, scale ** (k + 1))) for k, m in enumerate(raw)
+    ]
+    return minors, completed
+
+
+def is_positive_definite_minors(A):
+    """Sylvester test: all leading principal minors positive.
+
+    The independent membership oracle; returns (verdict, minors).
+    """
+    minors, completed = leading_principal_minors(A)
+    return completed and all(m > 0 for m in minors), minors
+
+
+def dense_verify_composition(F):
+    """The first failing pair (i, j), 1-indexed, or None if all relations hold."""
+    for i in range(F.r):
+        ti = [list(col) for col in zip(*F.mats[i])]
+        for j in range(i, F.r):
+            prod = kernels.mat_mul(ti, F.mats[j])
+            want = 2 if i == j else 0
+            for u in range(F.s):
+                for v in range(F.s):
+                    if prod[u][v] + prod[v][u] != (want if u == v else 0):
+                        return (i + 1, j + 1)
+    return None
+
+
+def dense_det(A):
+    """Determinant over Fractions: first nonzero pivot per column, no reordering."""
+    n = len(A)
+    M = [[Fraction(e) for e in row] for row in A]
+    det = Fraction(1)
+    for k in range(n):
+        piv_row = next((i for i in range(k, n) if M[i][k]), None)
+        if piv_row is None:
+            return 0
+        if piv_row != k:
+            M[k], M[piv_row] = M[piv_row], M[k]
+            det = -det
+        det *= M[k][k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            if f:
+                for j in range(k, n):
+                    M[i][j] -= f * M[k][j]
+    return normalize_rational(det)
 
 
 def dense_solve_linear(A, b):

@@ -20,7 +20,7 @@ from conelab.degrees import (
     sigma_from_dims,
 )
 from conelab.doubling import iterate_construction
-from conelab.linalg import det_exact, is_positive_definite_minors
+from conelab.linalg import det_exact
 from conelab.rank3 import (
     CompositionFamily,
     R_matrix,
@@ -41,6 +41,7 @@ from conelab.rank3 import (
     verify_composition,
 )
 from conelab.sampling import RationalSampler
+from tests.dense_oracle import is_positive_definite_minors
 
 
 @contextlib.contextmanager

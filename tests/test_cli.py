@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import conelab
-from conelab import cli, serialize
+from conelab import cli, core, doubling, serialize
 from conelab.core import BlockPartition, LdlResult, VCollection, group_element
 from conelab.doubling import iterate_construction
 from conelab.rank3 import bundled_family_3_5_7
@@ -149,7 +149,7 @@ def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
         json.dumps({"diag": [2, 1], "off": [{"k": 2, "j": 1, "coords": [1, 0]}]}),
         encoding="utf-8",
     )
-    true_ldl = cli.ldl_decompose
+    true_ldl = core.ldl_decompose
 
     def wrong_unit(x, V):
         res = true_ldl(x, V)
@@ -161,7 +161,7 @@ def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
             status=res.status,
         )
 
-    monkeypatch.setattr(cli, "ldl_decompose", wrong_unit)
+    monkeypatch.setattr(core, "ldl_decompose", wrong_unit)
     code, out, err = run(capsys, "member", "--cone", cone, "--point", str(point))
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "rebuild" in err
@@ -217,7 +217,7 @@ def test_double_rank_cap_exit_2(capsys, monkeypatch, tmp_path):
 
 def test_iterate_verifies_before_writing(capsys, monkeypatch, tmp_path):
     broken = VCollection(BlockPartition((1, 1, 1)), {(2, 1): [[[1]]], (3, 1): [[[1]]]})
-    monkeypatch.setattr(cli.doubling, "iterate_construction", lambda r: broken)
+    monkeypatch.setattr(doubling, "iterate_construction", lambda r: broken)
     out_path = tmp_path / "r3.json"
     code, out, err = run(capsys, "iterate", "--rank", "3", "--out", str(out_path))
     assert code == 3 and out == ""

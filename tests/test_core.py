@@ -38,7 +38,7 @@ from conelab.errors import (
     StructureError,
 )
 from conelab.sampling import RationalSampler
-from tests.dense_oracle import dense_basis
+from tests.dense_oracle import dense_basis, is_positive_definite_minors
 
 
 @pytest.fixture(scope="module")
@@ -494,7 +494,7 @@ def test_ldl_agrees_with_minors(omega2, omega3):
     for V in (omega2, omega3):
         for _ in range(40):
             x = sampler.cone_element(V)
-            verdict, _ = linalg.is_positive_definite_minors(embed(x, V))
+            verdict, _ = is_positive_definite_minors(embed(x, V))
             assert is_member(x, V) == verdict
 
 

@@ -91,6 +91,31 @@ def test_sigma_inconsistent_table():
     assert err.value.detail is not None
 
 
+_NOT_CONSISTENT = "dimension table not consistent with a homogeneous cone: "
+
+
+@pytest.mark.parametrize(
+    "table, where, detail",
+    [
+        (rank3_table(1, 1, 5), "column 1 goes negative in slot 3 at stage 2",
+         (1, 2, (0, 1, -4))),
+        (rank3_table(1, 1, 2), "column 1 goes negative in slot 3 at stage 2",
+         (1, 2, (0, 1, -1))),
+        # two slots go negative at once: the first is named
+        (DimTable(4, {(2, 1): 1, (3, 1): 0, (4, 1): 0, (3, 2): 2, (4, 2): 3, (4, 3): 1}),
+         "column 1 goes negative in slot 3 at stage 2", (1, 2, (0, 1, -2, -3))),
+        (DimTable(6, {**{(k, j): 2 ** (k - j) for k in range(2, 7) for j in range(1, k)},
+                      (6, 2): 1}),
+         "column 2 goes negative in slot 6 at stage 3", (2, 3, (0, 0, 2, 2, 4, -7))),
+    ],
+)
+def test_sigma_inconsistent_message_and_detail(table, where, detail):
+    with pytest.raises(InconsistentDimsError) as err:
+        sigma_from_dims(table)
+    assert str(err.value) == _NOT_CONSISTENT + where
+    assert err.value.detail == detail
+
+
 def test_sigma_trace_records_stages():
     s = sigma_from_dims(rank3_table(2, 4, 2))
     assert len(s.trace) == 2

@@ -46,9 +46,28 @@ def test_import_cli_skips_rank3_sampling_and_poly():
     "statement", ["import conelab.cli", "import conelab.rank3, conelab.sampling"]
 )
 def test_records_load_neither_dataclasses_nor_inspect(statement):
-    loaded = _modules_after(statement)
+    # conelab.cli loads core lazily; import it so its records are built too
+    loaded = _modules_after(statement + "\nimport conelab.core")
     assert "conelab.core" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["sigma", "--family-dims", "5"], 0), (["verify", "--in", "{malformed}"], 1)]
+)
+def test_sigma_and_malformed_verify_skip_core_and_doubling(argv, code, tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"partition": [1, ', encoding="utf-8")
+    argv = [a.replace("{malformed}", str(malformed)) for a in argv]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from conelab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(%r) == %d" % (argv, code)
+    )
+    assert "conelab.cli" in loaded
+    assert not loaded & {"conelab.core", "conelab.doubling", "conelab.linalg"}
 
 
 def test_every_public_name_resolves():

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conelab import linalg
+from conelab import _kernels, linalg
 from conelab.errors import StructureError
-from tests.dense_oracle import dense_solve_linear, mat_sub, scalar_mul
+from tests.dense_oracle import (
+    bareiss_minors,
+    dense_det,
+    dense_solve_linear,
+    is_positive_definite_minors,
+    leading_principal_minors,
+    mat_sub,
+    scalar_mul,
+)
 from tests.test_kernels import naive_det, naive_mat_mul
 
 
@@ -94,21 +102,21 @@ def test_det_exact_matches_naive():
 
 def test_leading_principal_minors():
     A = [[2, 1], [1, 1]]
-    minors, completed = linalg.leading_principal_minors(A)
+    minors, completed = leading_principal_minors(A)
     assert minors == [2, 1] and completed
     A = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    minors, completed = linalg.leading_principal_minors(A)
+    minors, completed = leading_principal_minors(A)
     assert minors == [Fraction(1, 2), Fraction(1, 4)] and completed
-    minors, completed = linalg.leading_principal_minors([[0, 1], [1, 0]])
+    minors, completed = leading_principal_minors([[0, 1], [1, 0]])
     assert minors == [0] and not completed
 
 
 def test_is_positive_definite_minors():
-    ok, minors = linalg.is_positive_definite_minors([[2, 1], [1, 1]])
+    ok, minors = is_positive_definite_minors([[2, 1], [1, 1]])
     assert ok and minors == [2, 1]
-    ok, _ = linalg.is_positive_definite_minors([[1, 2], [2, 1]])
+    ok, _ = is_positive_definite_minors([[1, 2], [2, 1]])
     assert not ok
-    ok, _ = linalg.is_positive_definite_minors([[0, 0], [0, 1]])
+    ok, _ = is_positive_definite_minors([[0, 0], [0, 1]])
     assert not ok
 
 
@@ -160,6 +168,84 @@ def test_solve_linear_matches_fraction_gauss():
                 linalg.solve_linear(A, b)
             continue
         assert linalg.solve_linear(A, b) == want
+
+
+def _random_system(rng, n, density):
+    """A random rational n x n matrix and right side.
+
+    Each row has a nonzero in the column a random permutation gives it, so
+    most are regular however sparse; about one in four is made singular, and
+    a zero first column entry forces a row swap.
+    """
+    A = [
+        [_rand_frac(rng) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        A[i][j] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    if n >= 2 and rng.random() < 0.25:
+        i, j = rng.sample(range(n), 2)
+        A[i] = [2 * e for e in A[j]]
+    if n and rng.random() < 0.5:
+        A[0][0] = 0
+    return A, [_rand_frac(rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("density", [0.25, 0.6, 1.0])
+def test_det_and_solve_match_dense_oracles(density):
+    """det_exact and solve_linear against the Fraction eliminations."""
+    rng = random.Random(int(density * 100))
+    seen = {"singular": 0, "swap": 0}
+    for _ in range(150):
+        A, b = _random_system(rng, rng.randint(0, 8), density)
+        det = dense_det(A)
+        assert linalg.det_exact(A) == det
+        assert linalg.det_exact([tuple(row) for row in A]) == det
+        if det == 0:
+            seen["singular"] += 1
+            with pytest.raises(StructureError, match="singular"):
+                linalg.solve_linear(A, b)
+            continue
+        seen["swap"] += bool(A) and not A[0][0]
+        assert linalg.solve_linear(A, b) == dense_solve_linear(A, b)
+    assert seen["singular"] >= 10 and seen["swap"] >= 10
+
+
+def test_bareiss_pivots_are_leading_minors_of_permuted_matrix():
+    """The Bareiss invariant: each pivot is a leading principal minor.
+
+    A lost exact division (a row whose divisor is not brought up to date)
+    still yields exact answers, but its pivots are multiples of these minors.
+    """
+    rng = random.Random(41)
+    completed = singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        A = [
+            [rng.randint(-9, 9) if rng.random() < 0.35 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        for i, j in enumerate(rng.sample(range(n), n)):
+            A[i][j] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        if n >= 2 and rng.random() < 0.2:
+            A[-1] = list(A[0])
+        M = [row + [rng.randint(-9, 9)] for row in A]
+        pivots, perm, sign = _kernels.bareiss_eliminate(M, n)
+        assert sorted(perm) == list(range(n))
+        permuted = [A[i] for i in perm]
+        minors, _ = bareiss_minors(permuted)
+        assert pivots == minors[: len(pivots)]
+        assert 0 not in pivots
+        det = dense_det(A)
+        if len(pivots) == n:
+            completed += 1
+            assert sign * pivots[-1] == det
+            # the row order's parity is the sign
+            assert sign == linalg.det_exact([[int(i == j) for j in perm] for i in range(n)])
+        else:
+            singular += 1
+            assert det == 0
+    assert completed >= 100 and singular >= 20
 
 
 def test_solve_linear_random_residuals():

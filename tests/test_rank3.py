@@ -5,16 +5,18 @@ closed formula; the bundled (3, 5, 7) family pins down conventions against
 known matrices.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conelab import linalg, poly
+from conelab import cli, linalg, poly
 from conelab.core import embed, is_member, verify_v_conditions
 from conelab.degrees import rank3_table, sigma_from_dims
 from conelab.errors import StructureError
 from conelab.rank3 import (
+    Classification,
     CompositionFamily,
     L_matrix,
     R_matrix,
@@ -48,6 +50,7 @@ from conelab.rank3 import (
     verify_composition,
 )
 from conelab.sampling import RationalSampler
+from tests.dense_oracle import dense_verify_composition
 
 
 def _family(r, n):
@@ -137,6 +140,28 @@ def test_verify_composition_catches_sign_flip():
     report = verify_composition(bad)
     assert not report.passed
     assert report.pair is not None
+
+
+def test_verify_composition_matches_dense_oracle(fixture_family):
+    """The sparse check names the same first failing pair as the dense one."""
+    rng = random.Random(17)
+    families = [fixture_family, _family(4, 4), _family(8, 16), _family(2, 6)]
+    families += [dual_family(F) for F in families]
+    families.append(dual_family(_zero_family(2, 3)))
+    checked = failed = 0
+    for F in families:
+        assert verify_composition(F).pair == dense_verify_composition(F) is None
+        for _ in range(25 if F.r and F.s else 0):
+            mats = [[list(row) for row in A] for A in F.mats]
+            i, u, v = rng.randrange(F.r), rng.randrange(F.n), rng.randrange(F.s)
+            mats[i][u][v] = rng.choice([0, -mats[i][u][v], Fraction(1, 2), 2, -1])
+            bad = CompositionFamily(F.r, F.s, F.n, mats)
+            want = dense_verify_composition(bad)
+            report = verify_composition(bad)
+            assert report.pair == want and report.passed == (want is None)
+            checked += 1
+            failed += want is not None
+    assert checked >= 150 and failed >= 100
 
 
 def test_composition_family_validation():
@@ -723,6 +748,52 @@ def test_classify_normalizes_by_swap():
     c = classify_degrees(5, 3, 7)
     assert c.swapped and c.normalized == (3, 5, 7)
     assert c.case == 3
+
+
+def _hopf_stiefel_odd_k(r, s, n):
+    return next((k for k in range(n - s + 1, r) if math.comb(n, k) % 2), None)
+
+
+def test_classify_hopf_stiefel_refusals_exit_2(capsys):
+    """Every triple 1 <= r <= s <= n <= 16 whose parity check fails exits 2."""
+    refuted = 0
+    for n in range(1, 17):
+        for s in range(1, n + 1):
+            for r in range(1, s + 1):
+                k = _hopf_stiefel_odd_k(r, s, n)
+                code = cli.main(["rank3", "classify", "--triple", str(r), str(s), str(n)])
+                out = capsys.readouterr()
+                if k is None:
+                    continue
+                assert code == 2 and out.out == ""
+                if s == n:
+                    # refused before by the stronger Hurwitz-Radon bound
+                    assert "C(" not in out.err
+                    continue
+                refuted += 1
+                assert "C(%d, %d) = %d is odd" % (n, k, math.comb(n, k)) in out.err
+    assert refuted == 148
+    code = cli.main(["rank3", "classify", "--triple", "5", "5", "6"])
+    assert code == 2 and "C(6, 2) = 15 is odd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "triple, case, primal, dual, normalized, swapped",
+    [
+        ((3, 5, 7), 3, (1, 2, 4), (4, 2, 1), (3, 5, 7), False),
+        ((5, 3, 7), 3, (1, 2, 4), (4, 2, 1), (3, 5, 7), True),
+        ((0, 5, 7), 4, (1, 2, 2), (3, 1, 1), (0, 5, 7), False),
+        ((0, 4, 9), 4, (1, 2, 2), (3, 1, 1), (0, 4, 9), False),
+        ((1, 2, 2), 2, (1, 2, 4), (3, 2, 1), (1, 2, 2), False),
+        ((2, 2, 2), 1, (1, 2, 3), (3, 2, 1), (2, 2, 2), False),
+        ((8, 16, 16), 2, (1, 2, 4), (3, 2, 1), (8, 16, 16), False),
+    ],
+)
+def test_classify_realizable_triples_unchanged(triple, case, primal, dual, normalized, swapped):
+    assert classify_degrees(*triple) == Classification(
+        case=case, primal=primal, dual=dual, triple=triple,
+        normalized=normalized, swapped=swapped,
+    )
 
 
 def test_classify_rejections():

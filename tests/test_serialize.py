@@ -241,6 +241,53 @@ def test_dumps_canonical_matches_json(obj):
     )
 
 
+_plain_trees = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.text(max_size=6),
+        st.lists(st.integers(), max_size=6).map(tuple),
+        st.lists(st.text(max_size=3), max_size=6).map(tuple),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_trees)
+@example(((), [()], {"t": (1, "1")}, (True, 1), ("a", None), [[1], (2,)]))
+def test_dumps_canonical_matches_json_on_tuples(obj):
+    """Nested dict/list/tuple/int/str/bool/None, the one-pass writer's input."""
+    assert serialize.dumps_canonical(obj) == (
+        json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    )
+
+
+def test_dumps_canonical_matches_json_on_extremal_sigma():
+    for r in range(1, 61):
+        table = DimTable(
+            r, {(k, j): 2 ** (k - j) for k in range(2, r + 1) for j in range(1, k)}
+        )
+        d = serialize.sigma_to_dict(sigma_from_dims(table))
+        assert serialize.dumps_canonical(d) == (
+            json.dumps(d, sort_keys=True, indent=2) + "\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "obj", [{1: "x"}, {None: 1}, {"a": [{"b": 1, 2: 3}]}, [{(1,): 0}]]
+)
+def test_dumps_canonical_refuses_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        serialize.dumps_canonical(obj)
+
+
 def test_dumps_canonical_rejects_what_json_cannot_write():
     with pytest.raises(TypeError):
         serialize.dumps_canonical({"b": [Fraction(1, 2)]})
