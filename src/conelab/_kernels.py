@@ -7,14 +7,16 @@ and a sparse vector is a dict {index: value} holding nonzeros only.
 
 The basis elements of one space share a single index (space_index) from a
 row or column w to the entries of every element on it, tagged with the
-element's number. space_join joins all left elements against such an index
-at once, so the (V1)-(V3) checks form only the pairs of basis elements whose
-product is nonzero.
+element's number. The (V1)-(V3) kernels join the left elements against such
+an index one at a time (Gustavson's row-wise sparse product), so they form
+only the pairs of basis elements whose product is nonzero, and decide each
+product in the loop that formed it: span_violation tests (V1)/(V2)
+membership against a span's reduced rows, gram_violation tests (V3)
+scalarity and collects the Gram rows. Either returns the first failing pair.
 
 A span is a list of mutually reduced (Gauss-Jordan) sparse rows: each row is
-zero at every other row's pivot. span_contains decides membership from the
-query's values at the pivots without changing the query; reduce_and_collect
-also returns the multipliers, for coordinate recovery.
+zero at every other row's pivot. reduce_and_collect eliminates a vector
+against it and returns the multipliers, for coordinate recovery.
 
 The group action and the block elimination work on row-dict blocks: a block
 is a dict {u: {v: value}} from row to its entries. The block_* kernels
@@ -182,97 +184,140 @@ def space_index(elements, by_row):
     return {w: tuple(hits) for w, hits in index.items()}
 
 
-def space_join(left, index, width, upper=False):
-    """Every nonzero product of a left basis element with an indexed one.
+def span_violation(left, index, width, rows, pivots, piv_invs):
+    """First pair whose product leaves a span, deciding each where it is formed.
 
-    left are sparse matrices A_a, joined on their column index w against
-    index = space_index(B, ...): with by_row the product of A_a and B_b is
-    A_a·B_b, otherwise it is A_a·tB_b. Yields (a, b, P) for the pairs whose
-    product P is nonzero, in (a, b) order, with P a sparse vector in
-    row-major order, {u*width + v: value}, without zeros. upper forms only
-    the pairs with b >= a. Pairs that are not yielded have a zero product, so
-    the work follows the nonzero output, not the number of pairs.
+    left are sparse matrices A_a, joined on their column w against index =
+    space_index(B, ...): with by_row the product of A_a and B_b is A_a·B_b,
+    otherwise A_a·tB_b, a sparse vector {u*width + v: value}. rows, pivots
+    and piv_invs are a span as for reduce_and_collect (no rows: dimension
+    0). Returns (decided, bad): bad is the first pair (a, b) in (a, b) order
+    whose product is not in the span, or None; decided counts the nonzero
+    products tested. Zero products, which lie in every span, are not formed.
+    A one-entry A_a needs no sort (its hits are in b order) and sums no two
+    terms, and only a summed entry can be zero.
+
+    Row t is the only row nonzero at its pivot, so P is in the span iff it
+    equals sum(c_t * rows[t]) with c_t = P[pivot_t] * piv_invs[t] over the
+    pivots in P's support; one row with multiplier 1 enters uncopied, and a
+    one-entry P needs the pivot of a one-entry row (rows hold no zeros).
     """
+    decided = 0
+    get_row = pivots.get
     for a, A in enumerate(left):
         products = {}
+        summed = False
         for u, w, x in A:
             hits = index.get(w)
             if hits:
                 base = u * width
                 for b, v, y in hits:
-                    if upper and b < a:
-                        continue
                     P = products.get(b)
                     if P is None:
                         products[b] = {base + v: x * y}
+                        continue
+                    key = base + v
+                    old = P.get(key)
+                    if old is None:
+                        P[key] = x * y
                     else:
-                        key = base + v
-                        P[key] = P.get(key, 0) + x * y
-        for b in sorted(products):
+                        P[key] = old + x * y
+                        summed = True
+        for b in products if len(A) == 1 else sorted(products):
             P = products[b]
-            if 0 in P.values():
+            if summed and 0 in P.values():
                 P = {key: z for key, z in P.items() if z}
                 if not P:
                     continue
-            yield a, b, P
+            decided += 1
+            if len(P) == 1:
+                for col in P:
+                    t = get_row(col)
+                if t is None or len(rows[t]) != 1:
+                    return decided, (a, b)
+                continue
+            combo = None
+            for col, x in P.items():
+                t = get_row(col)
+                if t is None:
+                    continue
+                f = x * piv_invs[t]
+                row = rows[t]
+                if combo is None:
+                    shared = f == 1
+                    combo = row if shared else {j: f * y for j, y in row.items()}
+                    continue
+                if shared:
+                    combo = dict(combo)
+                    shared = False
+                get = combo.get
+                for j, y in row.items():
+                    combo[j] = get(j, 0) + f * y
+            # only entries that cancelled to zero can make combo the longer
+            if combo != P and (
+                combo is None
+                or len(combo) <= len(P)
+                or {j: y for j, y in combo.items() if y} != P
+            ):
+                return decided, (a, b)
+    return decided, None
 
 
-def sym_scalar(S, n):
-    """sym_pair_scalar of a pair from its product S = X·tY, X and Y n-row.
+def gram_violation(elements, index, n):
+    """Gram rows of a space in the scalar product of (V3), or its first bad pair.
 
-    S is a sparse vector {u*n + v: value}. Returns c with (S + tS)/2 == c·I,
-    or None if there is no such c.
+    elements are sparse n-row matrices X_a, index = space_index(elements,
+    by_row=False). The pairs b >= a are joined as in span_violation and
+    decided in (a, b) order where S = X_a·tX_b is formed: (S + tS)/2 must be
+    c·I, and a zero product pairs to c = 0. Returns (G, bad): bad is the
+    first pair that breaks this, or None; G[a] is a dict {b: c} of the
+    nonzero scalars, filled symmetrically for the pairs decided before bad.
     """
-    c = 0
-    on_diagonal = 0
-    for key, s in S.items():
-        u, v = divmod(key, n)
-        if u == v:
-            if on_diagonal and s != c:
-                return None
-            c = s
-            on_diagonal += 1
-        elif s + S.get(v * n + u, 0):
-            return None
-    if on_diagonal and on_diagonal != n:
-        return None
-    return c
-
-
-def span_contains(v, rows, pivots, piv_invs):
-    """Whether the sparse vector v lies in the span of mutually reduced rows.
-
-    rows, pivots and piv_invs are as for reduce_and_collect. Row t is the only
-    row that is nonzero at its pivot, so a member of the span is
-    sum(c_t * rows[t]) with c_t = v[pivot_t] * piv_invs[t], and c_t is nonzero
-    exactly at the pivots in v's support. v is a member iff it equals that
-    combination; v is read, never changed, and no multiplier is kept.
-    """
-    combo = None
-    get_row = pivots.get
-    for col, x in v.items():
-        t = get_row(col)
-        if t is None:
-            continue
-        f = x * piv_invs[t]
-        row = rows[t]
-        if combo is None:
-            # a first row with multiplier 1 is compared as it is, not copied
-            shared = f == 1
-            combo = row if shared else {j: f * y for j, y in row.items()}
-            continue
-        if shared:
-            combo = dict(combo)
-            shared = False
-        get = combo.get
-        for j, y in row.items():
-            combo[j] = get(j, 0) + f * y
-    if combo is None:
-        return not v
-    if len(combo) == len(v):
-        return combo == v
-    # only entries that cancelled to zero can make combo the longer one
-    return len(combo) > len(v) and {j: y for j, y in combo.items() if y} == v
+    G = [{} for _ in elements]
+    n1 = n + 1
+    for a, A in enumerate(elements):
+        products = {}
+        summed = False
+        for u, w, x in A:
+            hits = index.get(w)
+            if hits:
+                base = u * n
+                for b, v, y in hits:
+                    if b < a:
+                        continue
+                    S = products.get(b)
+                    if S is None:
+                        products[b] = {base + v: x * y}
+                        continue
+                    key = base + v
+                    old = S.get(key)
+                    if old is None:
+                        S[key] = x * y
+                    else:
+                        S[key] = old + x * y
+                        summed = True
+        for b in products if len(A) == 1 else sorted(products):
+            S = products[b]
+            if summed and 0 in S.values():
+                S = {key: z for key, z in S.items() if z}
+            c = None
+            on_diagonal = 0
+            for key, s in S.items():
+                if key % n1 == 0:  # u == v, as |u - v| < n + 1
+                    if c is None:
+                        c = s
+                    elif s != c:
+                        return G, (a, b)
+                    on_diagonal += 1
+                    continue
+                u, v = divmod(key, n)
+                if s + S.get(v * n + u, 0):
+                    return G, (a, b)
+            if c is not None:
+                if on_diagonal != n:
+                    return G, (a, b)
+                G[a][b] = G[b][a] = c
+    return G, None
 
 
 def reduce_and_collect(v, rows, pivots, piv_invs):
@@ -333,19 +378,6 @@ def block_add(acc, A, f):
     return acc
 
 
-def block_add_scalar(acc, c, n):
-    """acc += c·I_n on a row-dict block, in place; returns acc."""
-    if c:
-        for u in range(n):
-            row = acc.get(u)
-            if row is None:
-                acc[u] = {u: c}
-            else:
-                old = row.get(u)
-                row[u] = c if old is None else old + c
-    return acc
-
-
 def block_addmul(acc, A, B, lower=False):
     """acc += A·B on row-dict blocks, in place; returns acc.
 
@@ -386,11 +418,12 @@ def block_scalar(A, n):
     """The c with A == c·I_n for a symmetric n x n row-dict block, or None.
 
     Only the entries on or below the diagonal are read, so the ones above it
-    may be missing; stored zeros are allowed.
+    may be missing; stored zeros are allowed. A block with fewer than n rows
+    has a zero diagonal entry, so c is 0; the work follows the stored rows,
+    not n.
     """
-    c = None
-    for u in range(n):
-        row = A.get(u, {})
+    c = None if len(A) == n else 0
+    for u, row in A.items():
         x = row.get(u, 0)
         if c is None:
             c = x

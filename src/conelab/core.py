@@ -214,28 +214,20 @@ class VCollection:
         """First basis pair (a, b), 1-indexed, of V_kj that breaks (V3).
 
         None when every symmetrized product is scalar; the Gram matrix is then
-        cached, so gram() and is_orthonormal() reuse it. One join of the space
-        with its own column index forms the products X_a·tX_b with b >= a that
-        are nonzero, in the order (1, 1), (1, 2), ..., (1, d), (2, 2), ...;
-        a zero product pairs to the scalar 0, so the first failing pair is
-        the first in that order among all pairs.
+        cached, so gram() and is_orthonormal() reuse it. One kernel call joins
+        the space with its own column index and decides the pairs b >= a in
+        the order (1, 1), (1, 2), ..., (1, d), (2, 2), ... where their
+        products are formed; a zero product pairs to the scalar 0, so the
+        first failing pair is the first in that order among all pairs.
         """
         key = (k, j)
         if key in self._grams:
             return None
-        elements = self.entries(k, j)
-        n = self.partition.size(k)
-        G = [{} for _ in elements]
-        products = kernels.space_join(
-            elements, self._index(k, j, by_row=False), n, upper=True
+        G, bad = kernels.gram_violation(
+            self.entries(k, j), self._index(k, j, by_row=False), self.partition.size(k)
         )
-        for a, b, S in products:
-            c = kernels.sym_scalar(S, n)
-            if c is None:
-                return (a + 1, b + 1)
-            if c:
-                G[a][b] = c
-                G[b][a] = c
+        if bad is not None:
+            return (bad[0] + 1, bad[1] + 1)
         self._grams[key] = tuple(G)
         return None
 
@@ -618,14 +610,13 @@ def rho_act(h, x, V):
     X = _sparse_blocks(V, off)
     XT = {key: kernels.block_transpose(B) for key, B in X.items()}
     # Y_kk and Z_kk only enter the scalar check of the symmetric Z_kk, which
-    # reads their lower halves
+    # reads their lower halves; their scalar parts a_k d_k I and a_k^2 d_k I
+    # stay numbers, so no block holds n_k entries for them
     Y = {}
     for k in range(1, r + 1):
         for m in range(1, k + 1):
             acc = {}
-            if m == k:
-                kernels.block_add_scalar(acc, a[k - 1] * d[k - 1], sizes[k - 1])
-            elif (k, m) in X:
+            if m < k and (k, m) in X:
                 kernels.block_add(acc, X[(k, m)], a[k - 1])
             for l in range(1, k):
                 A = H.get((k, l))
@@ -656,7 +647,7 @@ def rho_act(h, x, V):
                 raise NotInSpaceError(
                     "diagonal block %d is not a scalar matrix" % i, ("diag", i)
                 )
-            diag.append(c)
+            diag.append(c + a[i - 1] * a[i - 1] * d[i - 1])
         off = _lower_coords(V, Z)
     except NotInSpaceError as exc:
         raise ClosureViolationError(
@@ -727,14 +718,15 @@ def _product_condition(V, transposed):
     """(V1) on basis elements, or (V2) when transposed.
 
     For i < j < k, (V1) needs X_kj * X_ji in V_ki and (V2) needs
-    X_ki * t(X_ji) in V_kj. One join per triple forms the nonzero products of
-    the left basis with the row (V1) or column (V2) index of V_ji, in (a, b)
+    X_ki * t(X_ji) in V_kj. One kernel call per triple joins the left basis
+    with the row (V1) or column (V2) index of V_ji and decides each nonzero
+    product against the target's reduced rows where it is formed, in (a, b)
     order; a zero product lies in every span, so the first failing nonzero
     product is the first failing pair. The counterexample is (i, j, k, a, b)
     with a and b the 1-indexed basis elements of the left and right factor.
     """
     # looked up per call, so a wrapper installed on the kernels module is seen
-    join = kernels.space_join
+    violation = kernels.span_violation
     for k in range(3, V.r + 1):
         for j in range(2, k):
             for i in range(1, j):
@@ -742,12 +734,12 @@ def _product_condition(V, transposed):
                 basis_left = V.entries(*left)
                 if not basis_left or not V.dim(j, i):
                     continue
-                solver = V.solver(*target) if V.dim(*target) else None
-                width = V.partition.size(target[1])
+                S = V.solver(*target)  # no rows when zero-dimensional
                 right = V._index(j, i, by_row=not transposed)
-                for a, b, P in join(basis_left, right, width):
-                    if solver is None or not solver.contains(P):
-                        return ConditionReport(False, (i, j, k, a + 1, b + 1))
+                width = V.partition.size(target[1])
+                _, bad = violation(basis_left, right, width, S.rows, S.pivots, S.piv_invs)
+                if bad is not None:
+                    return ConditionReport(False, (i, j, k, bad[0] + 1, bad[1] + 1))
     return ConditionReport(True)
 
 

@@ -161,9 +161,8 @@ class SpanSolver:
     dependent input vector is a StructureError: declared bases must be
     linearly independent.
 
-    contains reads a query's coefficients off its values at the pivots and
-    neither copies nor changes it; solve costs one elimination pass over a
-    copy of the query's nonzeros.
+    contains and solve each cost one elimination pass over a copy of the
+    query's nonzeros.
     """
 
     def __init__(self, vectors, label=""):
@@ -238,6 +237,6 @@ class SpanSolver:
 
     def contains(self, vector):
         """Whether vector lies in the span; a dict vector is left unchanged."""
-        if not isinstance(vector, dict):
-            vector = _sparse_vector(vector)
-        return kernels.span_contains(vector, self.rows, self.pivots, self.piv_invs)
+        v = _sparse_vector(vector)
+        kernels.reduce_and_collect(v, self.rows, self.pivots, self.piv_invs)
+        return not v

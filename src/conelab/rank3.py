@@ -246,17 +246,16 @@ class CompositionReport(Record):
 def verify_composition(F):
     """Check tA_i A_j + tA_j A_i = 2 delta_ij I_s for all pairs, exactly.
 
-    Only the nonzero products tA_i A_j, j >= i, are formed, over the
-    nonzeros of the A_i (kernels.space_join); a pair without one passes for
-    i != j and, unless s = 0, fails for i = j.
+    The (V3) kernel of the transposes tA_i decides the pairs j >= i where
+    their nonzero products tA_i A_j are formed: each must pair to a scalar,
+    and the scalars must be the identity's entries. A pair without a
+    nonzero product passes for i != j and, unless s = 0, fails for i = j.
     """
-    mats = [kernels.sparse_entries(A) for A in F.mats]
-    left = [[(v, u, e) for u, v, e in A] for A in mats]
-    join = kernels.space_join(left, kernels.space_index(mats, True), F.s, upper=True)
-    products = {(i, j): P for i, j, P in join}
+    left = [[(v, u, e) for u, v, e in kernels.sparse_entries(A)] for A in F.mats]
+    G, bad = kernels.gram_violation(left, kernels.space_index(left, False), F.s)
     for i in range(F.r if F.s else 0):
         for j in range(i, F.r):
-            if kernels.sym_scalar(products.get((i, j), {}), F.s) != (i == j):
+            if (i, j) == bad or G[i].get(j, 0) != (i == j):
                 return CompositionReport(False, (i + 1, j + 1))
     return CompositionReport(True)
 
@@ -624,6 +623,34 @@ class CouplingDecomposition(Record):
     det_ratio_dual_ok: bool
 
 
+def _bordered_apply(Xi, L, C, s):
+    """big C for the bordered block big = [[xi22 I_s, tL], [L, xi33 I_n]]."""
+    C1, C2 = C[:s], C[s:]
+    return [Xi.xi22 * c + kernels.dot(col, C2) for c, col in zip(C1, zip(*L))] + [
+        kernels.dot(row, C1) + Xi.xi33 * c for row, c in zip(L, C2)
+    ]
+
+
+def _bordered_solve(Xi, Lxi, v_vec, s):
+    """(B, LB) in integers with big B = LB v for v = (eta, zeta), or None.
+
+    The composition relations give tL L = |xi|^2 I_s, so B = (xi33 g,
+    q2d zeta - L g) with g = xi33 eta - tL zeta, LB = q2d xi33 and q2d =
+    xi22 xi33 - |xi|^2 = xi33 (xi22 - |xi|^2/xi33) > 0. big B is compared
+    with LB v before B is returned: None when F breaks its relations.
+    """
+    xi33 = Xi.xi33
+    q2d = Xi.xi22 * xi33 - poly.pnorm2(Xi.xi)
+    g = [xi33 * e - kernels.dot(col, Xi.zeta) for e, col in zip(Xi.eta, zip(*Lxi))]
+    B = [xi33 * gv for gv in g] + [
+        q2d * zv - kernels.dot(row, g) for zv, row in zip(Xi.zeta, Lxi)
+    ]
+    LB = q2d * xi33
+    if _bordered_apply(Xi, Lxi, B, s) != [LB * v for v in v_vec]:
+        return None
+    return B, LB
+
+
 def coupling_decomposition_check(X, Xi, F):
     """Verify the three-term positive decomposition of the coupling.
 
@@ -657,17 +684,21 @@ def coupling_decomposition_check(X, Xi, F):
     xdd33 = xt33 - (linalg.exact_div(poly.pnorm2(xt), xt22) if r else 0)
 
     # the dual matrix is [[xi11, t(eta, zeta)], [(eta, zeta), big]] with the
-    # bordered block big = [[xi22 I_s, tL(xi)], [L(xi), xi33 I_n]]
-    head, *rest = embed_rank3_dual(Xi, F)
-    big = [row[1:] for row in rest]
-    v_vec = head[1:]
-    # the solution of big B' = v is B' = B / LB, B in integers
-    (B,), LB = linalg.clear_denominators([linalg.solve_linear(big, v_vec)])
+    # bordered block big = [[xi22 I_s, tL], [L, xi33 I_n]], L = L(xi)
+    Lxi = L_matrix(F, Xi.xi)
+    v_vec = list(Xi.eta) + list(Xi.zeta)
+    solved = _bordered_solve(Xi, Lxi, v_vec, s)
+    if solved is None:
+        # F breaks the composition relations: eliminate the block itself
+        big = [row[1:] for row in embed_rank3_dual(Xi, F)[1:]]
+        (B,), LB = linalg.clear_denominators([linalg.solve_linear(big, v_vec)])
+    else:
+        B, LB = solved
     xidd11 = Xi.xi11 - Fraction(kernels.dot(v_vec, B), LB)
 
-    # C = B / LB + (y, z) / x11, and C^T big C over the nonzeros of big
+    # C = B / LB + (y, z) / x11, and C^T big C
     C = [bv * x11 + uv * LB for bv, uv in zip(B, list(X.y) + list(X.z))]
-    CXC = Fraction(kernels.dot(C, [kernels.dot(row, C) for row in big]), (LB * x11) ** 2)
+    CXC = Fraction(kernels.dot(C, _bordered_apply(Xi, Lxi, C, s)), (LB * x11) ** 2)
     d = [
         linalg.exact_div(xiv, xi33) + linalg.exact_div(xtv, xt22)
         for xiv, xtv in zip(Xi.xi, xt)

@@ -512,3 +512,43 @@ def test_rank3_build_dual_refuses_broken_family(capsys, tmp_path):
         code, out, err = run(capsys, "rank3", "build", "--family", str(fam), *side)
         assert code == 2 and out == ""
         assert "pair (1, 2)" in err
+
+
+def run_child_peak(*argv):
+    """run_child from a small launcher that reads the child's peak RSS.
+
+    The launcher is a bare interpreter, so the peak that a forked child
+    inherits from its parent is the launcher's, not the test process's.
+    Returns (exit code, stdout, peak RSS in MB).
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conelab.__file__)))
+    launcher = (
+        "import json, resource, subprocess, sys\n"
+        "child = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "json.dump([child.returncode, child.stdout, peak], sys.stdout)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "conelab.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    code, out, peak = json.loads(done.stdout)
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS
+    return code, out, peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def test_member_memory_does_not_grow_with_block_size(tmp_path):
+    # the scalar part of a diagonal block stays a number: a one-block cone
+    # of size 10^6 and one of size 1 give the same answer at a small peak
+    point = tmp_path / "point.json"
+    point.write_text('{"diag": ["1"]}', encoding="utf-8")
+    runs = []
+    for n in (1, 10**6):
+        cone = tmp_path / ("cone_%d.json" % n)
+        cone.write_text('{"partition": [%d], "spaces": []}' % n, encoding="utf-8")
+        runs.append(run_child_peak("member", "--cone", str(cone), "--point", str(point)))
+    (code_1, out_1, _), (code, out, peak) = runs
+    assert code == code_1 == 0 and out == out_1
+    assert json.loads(out)["member"] is True
+    assert peak < 50

@@ -300,28 +300,45 @@ def test_verify_v3_counterexample():
 
 
 def test_verify_scalar_products_computed_once(monkeypatch):
-    # (V3) and the orthonormal flag share one Gram pass: one (V3) join per
-    # declared space (10 at rank 5), and gram()/is_orthonormal() reuse it
+    # (V3) and the orthonormal flag share one Gram pass: one (V3) kernel call
+    # per declared space (10 at rank 5), and gram()/is_orthonormal() reuse it
     from conelab import _kernels
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(5)
     calls = []
-    original = _kernels.space_join
+    original = _kernels.gram_violation
 
-    def counting(left, index, width, upper=False):
-        calls.append(upper)
-        return original(left, index, width, upper)
+    def counting(elements, index, n):
+        calls.append(1)
+        return original(elements, index, n)
 
-    monkeypatch.setattr(_kernels, "space_join", counting)
+    monkeypatch.setattr(_kernels, "gram_violation", counting)
     report = verify_v_conditions(V)
     assert report.passed and report.orthonormal
-    assert calls.count(True) == len(V.spaces()) == 10
+    assert len(calls) == len(V.spaces()) == 10
     before = len(calls)
     for key in V.spaces():
         V.gram(*key)
     assert V.is_orthonormal()
     assert len(calls) == before
+
+
+def _counting_decisions(monkeypatch):
+    """Wrap the (V1)/(V2) kernel; the list it returns collects each call's
+    count of nonzero products decided against a span."""
+    from conelab import _kernels
+
+    decided = []
+    original = _kernels.span_violation
+
+    def counting(*args):
+        count, bad = original(*args)
+        decided.append(count)
+        return count, bad
+
+    monkeypatch.setattr(_kernels, "span_violation", counting)
+    return decided
 
 
 def _nonzero_products(V):
@@ -341,46 +358,36 @@ def _nonzero_products(V):
 
 @pytest.mark.parametrize("rank, nonzero", [(5, 184), (7, 1608)])
 def test_verify_span_queries_follow_nonzero_products(monkeypatch, rank, nonzero):
-    # only nonzero (V1)/(V2) products reach the span solver; at rank 7 the
-    # basis pairs number 7596
+    # only nonzero (V1)/(V2) products are decided against a span; at rank 7
+    # the basis pairs number 7596
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(rank)
     assert _nonzero_products(V) == nonzero
-    calls = []
-    original = linalg.SpanSolver.contains
-
-    def counting(self, vector):
-        calls.append(1)
-        return original(self, vector)
-
-    monkeypatch.setattr(linalg.SpanSolver, "contains", counting)
+    decided = _counting_decisions(monkeypatch)
     assert verify_v_conditions(V).passed
-    assert len(calls) == nonzero
+    assert sum(decided) == nonzero
 
 
 @pytest.mark.parametrize(
     "r, queries", [(2, 0), (3, 8), (4, 48), (5, 184), (6, 576), (7, 1608), (8, 4176)]
 )
 def test_verify_query_and_solver_counts(monkeypatch, r, queries):
-    # one span query per nonzero (V1)/(V2) product, one solver per space
+    # one span decision per nonzero (V1)/(V2) product, one solver per space
     from conelab.doubling import iterate_construction
 
-    counts = {"init": 0, "contains": 0}
-    init, contains = linalg.SpanSolver.__init__, linalg.SpanSolver.contains
+    counts = {"init": 0}
+    init = linalg.SpanSolver.__init__
 
     def counting_init(self, *args, **kwargs):
         counts["init"] += 1
         init(self, *args, **kwargs)
 
-    def counting_contains(self, vector):
-        counts["contains"] += 1
-        return contains(self, vector)
-
     monkeypatch.setattr(linalg.SpanSolver, "__init__", counting_init)
-    monkeypatch.setattr(linalg.SpanSolver, "contains", counting_contains)
+    decided = _counting_decisions(monkeypatch)
     assert verify_v_conditions(iterate_construction(r)).passed
-    assert counts == {"init": r * (r - 1) // 2, "contains": queries}
+    assert counts == {"init": r * (r - 1) // 2}
+    assert sum(decided) == queries
 
 
 def test_verify_reports_first_failing_pair_in_order():

@@ -160,3 +160,80 @@ def test_double_general_input_not_from_iteration():
     assert W.partition.sizes == (4, 2, 1)
     assert W.dims_table().d(3, 1) == 4
     assert dense_basis(W, 3, 2) == (((1, 1),), ((1, 0),))
+
+
+# the doubled family in closed form: an oracle independent of the kernels
+
+
+def _closed_form(r, k, j):
+    """E^{kj}_s = e_s^T (x) I_{n_k} for s < m_kj = 2^(k-j), as sorted entries."""
+    nk = 2 ** (r - k)
+    return tuple(
+        tuple((u, s * nk + u, 1) for u in range(nk)) for s in range(2 ** (k - j))
+    )
+
+
+def _sparse_product(A, B, transposed):
+    """A·B, or A·tB when transposed, from entries; {(u, v): value} of nonzeros."""
+    rows = {}
+    for u, v, e in B:
+        w, col = (v, u) if transposed else (u, v)
+        rows.setdefault(w, []).append((col, e))
+    out = {}
+    for u, w, x in A:
+        for v, y in rows.get(w, ()):
+            out[(u, v)] = out.get((u, v), 0) + x * y
+    return {key: z for key, z in out.items() if z}
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_iterate_construction_is_the_closed_form(r):
+    V = iterate_construction(r)
+    assert V.partition.sizes == tuple(2 ** (r - k) for k in range(1, r + 1))
+    assert V.spaces() == V.pairs()
+    for k, j in V.pairs():
+        assert V.entries(k, j) == _closed_form(r, k, j)
+
+
+@pytest.mark.parametrize("r", range(3, 8))
+def test_doubled_products_follow_the_structure_constants(r):
+    # (V1) E^kj_s E^ji_t = E^ki_{s + t m_kj}; (V2) E^ki_c tE^ji_t =
+    # E^kj_{c - t m_kj} when t m_kj <= c < (t + 1) m_kj, and 0 otherwise
+    V = iterate_construction(r)
+    nonzero = 0
+    for k in range(3, r + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                m = 2 ** (k - j)
+                right = V.entries(j, i)
+                for left, target, transposed in (
+                    ((k, j), (k, i), False),
+                    ((k, i), (k, j), True),
+                ):
+                    basis = _closed_form(r, *target)
+                    for a, A in enumerate(V.entries(*left)):
+                        for t, B in enumerate(right):
+                            P = _sparse_product(A, B, transposed)
+                            if not transposed:
+                                want = a + t * m
+                            elif t * m <= a < (t + 1) * m:
+                                want = a - t * m
+                            else:
+                                assert P == {}
+                                continue
+                            assert P == {(u, v): 1 for u, v, _ in basis[want]}
+                            nonzero += 1
+    # the count of nonzero products the (V1)/(V2) kernel decides
+    assert nonzero == {3: 8, 4: 48, 5: 184, 6: 576, 7: 1608}[r]
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_doubled_bases_are_orthonormal_in_v3(r):
+    # E^kj_s tE^kj_s' = delta_ss' I_{n_k}
+    V = iterate_construction(r)
+    for k, j in V.pairs():
+        identity = {(u, u): 1 for u in range(V.partition.size(k))}
+        basis = V.entries(k, j)
+        for s, X in enumerate(basis):
+            for t, Y in enumerate(basis):
+                assert _sparse_product(X, Y, True) == (identity if s == t else {})

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import _kernels
-from tests.dense_oracle import bareiss_minors
+from conelab.errors import StructureError
+from conelab.linalg import SpanSolver
+from tests.dense_oracle import DenseSpan, bareiss_minors
 
 
 # a single param, so the tests keep their "[python]" ids
@@ -208,13 +210,11 @@ def _as_sparse_vector(M):
     return {u * width + v: e for u, row in enumerate(M) for v, e in enumerate(row) if e}
 
 
-def _naive_pairs(left, right, transposed, upper=False):
+def _naive_pairs(left, right, transposed):
     """{(a, b): nonzero product as a sparse vector} over all basis pairs."""
     out = {}
     for a, A in enumerate(left):
         for b, B in enumerate(right):
-            if upper and b < a:
-                continue
             if transposed:
                 B = [list(col) for col in zip(*B)]
             P = _as_sparse_vector(naive_mat_mul(A, B))
@@ -223,58 +223,124 @@ def _naive_pairs(left, right, transposed, upper=False):
     return out
 
 
-def _joined(kernels, left, right, transposed, width, upper=False):
+def _span(rng, vectors, width):
+    """A span of some independent vectors, some of them given: its SpanSolver
+    rows and the membership test of the dense oracle."""
+    pool = list(vectors) + [
+        _as_sparse_vector(_sparse_rand_matrix(rng, 1, width)) for _ in range(3)
+    ]
+    rng.shuffle(pool)
+    chosen = []
+    for v in pool[: rng.randint(0, len(pool))]:
+        try:
+            SpanSolver([dict(w) for w in chosen + [v]])
+        except StructureError:
+            continue
+        chosen.append(v)
+    S = SpanSolver([dict(v) for v in chosen])
+    oracle = DenseSpan([[v.get(i, 0) for i in range(width)] for v in chosen])
+    return (S.rows, S.pivots, S.piv_invs), oracle
+
+
+def _first_outside(products, oracle, width):
+    """(decided, bad) over the naive nonzero products, by the dense oracle."""
+    decided = 0
+    for pair in sorted(products):
+        decided += 1
+        if not oracle.contains([products[pair].get(i, 0) for i in range(width)]):
+            return decided, pair
+    return decided, None
+
+
+def _violation(kernels, left, right, transposed, width, span):
     index = kernels.space_index(
         [kernels.sparse_entries(B) for B in right], by_row=not transposed
     )
     left = [kernels.sparse_entries(A) for A in left]
-    got = [(a, b, P) for a, b, P in kernels.space_join(left, index, width, upper)]
-    assert [(a, b) for a, b, _ in got] == sorted((a, b) for a, b, _ in got)
-    return {(a, b): P for a, b, P in got}
+    return kernels.span_violation(left, index, width, *span)
 
 
-def test_space_join_matches_naive_products(kernels):
+def test_span_violation_matches_naive_products(kernels):
     rng = random.Random(5)
-    for _ in range(60):
+    outcomes = set()
+    for _ in range(200):
         n, inner, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         left = [_sparse_rand_matrix(rng, n, inner) for _ in range(rng.randint(1, 4))]
         right = [_sparse_rand_matrix(rng, inner, m) for _ in range(rng.randint(1, 4))]
         right_t = [_sparse_rand_matrix(rng, m, inner) for _ in right]
-        assert _joined(kernels, left, right, False, m) == _naive_pairs(
-            left, right, False
-        )
-        assert _joined(kernels, left, right_t, True, m) == _naive_pairs(
-            left, right_t, True
-        )
-        # b >= a within one space, as the (V3) pass joins it
-        assert _joined(kernels, left, left, True, n, upper=True) == _naive_pairs(
-            left, left, True, upper=True
-        )
+        for R, transposed in ((right, False), (right_t, True)):
+            products = _naive_pairs(left, R, transposed)
+            # spans that hold some of the products, so both verdicts occur,
+            # and sometimes the zero-dimensional span
+            half = rng.sample(list(products.values()), len(products) // 2)
+            span, oracle = _span(rng, half, n * m)
+            if rng.random() < 0.2:
+                span, oracle = ((), {}, ()), DenseSpan([])
+            want = _first_outside(products, oracle, n * m)
+            assert _violation(kernels, left, R, transposed, m, span) == want
+            outcomes.add(want[1] is None)
+    assert outcomes == {True, False}
 
 
-def test_space_join_drops_cancelled_products(kernels):
-    # A_0·B_0 cancels to zero entirely; A_0·B_1 cancels in one entry only
+def test_span_violation_skips_cancelled_products(kernels):
+    # A_0·B_0 cancels to zero entirely, so it is not decided even against a
+    # zero-dimensional span; A_0·B_1 cancels in one entry only
     left = [[[1, 1], [2, 2]]]
     right = [[[1, 0], [-1, 0]], [[1, 1], [-1, 1]]]
     assert _naive_pairs(left, right, False) == {(0, 1): {1: 2, 3: 4}}
-    assert _joined(kernels, left, right, False, 2) == {(0, 1): {1: 2, 3: 4}}
+    assert _violation(kernels, left, right, False, 2, ((), {}, ())) == (1, (0, 1))
+    inside = ([{1: 1, 3: 2}], {1: 0}, [1])
+    assert _violation(kernels, left, right, False, 2, inside) == (1, None)
+    # an entry that is not in the product but in the combination fails it
+    wider = ([{1: 1, 2: 5, 3: 2}], {1: 0}, [1])
+    assert _violation(kernels, left, right, False, 2, wider) == (1, (0, 1))
 
 
-def test_sym_scalar_matches_sym_pair_scalar(kernels):
+def test_gram_violation_matches_sym_pair_scalar(kernels):
     rng = random.Random(6)
     seen = set()
     for _ in range(300):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         X = _sparse_rand_matrix(rng, n, m)
-        # Y = X, -X or noise: scalar and non-scalar pairs
-        Y = rng.choice(
-            (X, [[-e for e in row] for row in X], _sparse_rand_matrix(rng, n, m))
-        )
-        S = _as_sparse_vector(naive_mat_mul(X, [list(col) for col in zip(*Y)]))
-        got = kernels.sym_scalar(S, n)
-        assert got == kernels.sym_pair_scalar(X, Y)
-        seen.add(got is None)
+        # multiples of X, random and zero elements: scalar and non-scalar
+        # pairs, and pairs whose product is zero
+        elements = [X]
+        for _ in range(rng.randint(0, 3)):
+            elements.append(rng.choice((
+                [[-e for e in row] for row in X],
+                [[2 * e for e in row] for row in X],
+                _sparse_rand_matrix(rng, n, m),
+                [[0] * m for _ in range(n)],
+            )))
+        want_G = [{} for _ in elements]
+        want_bad = None
+        for a, b in itertools.combinations_with_replacement(range(len(elements)), 2):
+            c = kernels.sym_pair_scalar(elements[a], elements[b])
+            if c is None:
+                want_bad = (a, b)
+                break
+            if c:
+                want_G[a][b] = want_G[b][a] = c
+        sparse = [kernels.sparse_entries(E) for E in elements]
+        G, bad = kernels.gram_violation(sparse, kernels.space_index(sparse, False), n)
+        assert (G, bad) == (want_G, want_bad)
+        seen.add(bad is None)
     assert seen == {True, False}
+
+
+def _gram(kernels, elements):
+    sparse = [kernels.sparse_entries(E) for E in elements]
+    return kernels.gram_violation(sparse, kernels.space_index(sparse, False), len(elements[0]))
+
+
+def test_gram_violation_cancelled_and_partial_diagonal(kernels):
+    # X_0·tX_1 sums 1 - 1 to zero: the pair is scalar 0 with no Gram entry
+    assert _gram(kernels, [[[1, 1]], [[1, -1]]]) == ([{0: 2}, {1: 2}], None)
+    # I·tX_1 is skew, so it pairs to 0; I·tX_2 has a diagonal entry on one
+    # of its two rows only, which is not scalar; the rows decided before it
+    # are returned
+    identity, skew, corner = [[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[1, 0], [0, 0]]
+    assert _gram(kernels, [identity, skew, corner]) == ([{0: 1}, {}, {}], (0, 2))
 
 
 def _row_dict(M):
@@ -309,7 +375,7 @@ def test_block_kernels_match_naive(kernels):
 
 def test_block_scalar(kernels):
     assert kernels.block_scalar({}, 3) == 0
-    assert kernels.block_scalar(kernels.block_add_scalar({}, 5, 3), 3) == 5
+    assert kernels.block_scalar({0: {0: 5}, 1: {1: 5}, 2: {2: 5}}, 3) == 5
     assert kernels.block_scalar({0: {0: 5}, 1: {1: 5}}, 3) is None  # a zero row
     assert kernels.block_scalar({0: {0: 5}, 1: {1: 4}}, 2) is None
     assert kernels.block_scalar({0: {0: 5}, 1: {0: 1, 1: 5}}, 2) is None

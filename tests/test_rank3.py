@@ -547,6 +547,67 @@ def test_coupling_decomposition_r0():
         assert res.passed and res.lhs > 0
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        bundled_family_3_5_7,
+        lambda: _family(4, 8),
+        lambda: _family(8, 8),
+        lambda: _family(8, 16),
+        lambda: _family(10, 32),
+        lambda: _zero_family(2, 3),
+        lambda: _zero_family(1, 1),
+        lambda: _zero_family(4, 7),
+    ],
+    ids=["3_5_7", "4_8", "8_8", "8_16", "10_32", "r0_2_3", "r0_1_1", "r0_4_7"],
+)
+def test_coupling_bordered_solve_matches_solve_linear(monkeypatch, family):
+    # the closed-form solve of the bordered block is checked before use;
+    # forcing that check to fail takes the solve_linear path, which must
+    # give the same report, and the closed form must not call it
+    from conelab import rank3
+
+    F = family()
+    sampler = RationalSampler(seed=40, max_numerator=9, max_denominator=4)
+    V, Vd = (build_rank3_cone(F), build_rank3_dual(F)) if F.r else (None, None)
+    points = [
+        (sampler.interior_rank3(F, V), sampler.interior_rank3_dual(F, Vd))
+        for _ in range(3)
+    ]
+    solves = []
+    solve_linear = linalg.solve_linear
+
+    def counting(A, b):
+        solves.append(len(A))
+        return solve_linear(A, b)
+
+    monkeypatch.setattr(linalg, "solve_linear", counting)
+    fast = [coupling_decomposition_check(X, Xi, F) for X, Xi in points]
+    assert solves == [] and all(res.passed for res in fast)
+    monkeypatch.setattr(rank3, "_bordered_solve", lambda *args: None)
+    assert [coupling_decomposition_check(X, Xi, F) for X, Xi in points] == fast
+    assert solves == [F.s + F.n] * len(points)
+
+
+def test_coupling_broken_family_falls_back_to_solve_linear(monkeypatch):
+    # A_2 = A_1 = I breaks tA_1 A_2 + tA_2 A_1 = 0, so tL L != |xi|^2 I and
+    # the closed-form solve fails its check: the block is eliminated instead
+    from conelab import rank3
+
+    F = CompositionFamily(2, 2, 2, [[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
+    X = rank3_element(F, 4, 5, 6, (1, 0), (1, 1), (0, 1))
+    Xi = dual_rank3_element(F, 7, 9, 8, (1, 1), (1, 2), (2, 1))
+    v = list(Xi.eta) + list(Xi.zeta)
+    assert rank3._bordered_solve(Xi, L_matrix(F, Xi.xi), v, F.s) is None
+    solves = []
+    solve_linear = linalg.solve_linear
+    monkeypatch.setattr(
+        linalg, "solve_linear", lambda A, b: solves.append(1) or solve_linear(A, b)
+    )
+    res = coupling_decomposition_check(X, Xi, F)
+    assert solves == [1] and res.lhs == coupling(X, Xi)
+
+
 def test_coupling_decomposition_preconditions(fixture_family):
     F = fixture_family
     bad = rank3_element(F, -1, 1, 1)
