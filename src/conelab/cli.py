@@ -11,7 +11,6 @@ import sys
 
 from conelab import degrees as degrees_mod
 from conelab import serialize
-from conelab._record import Record
 from conelab.errors import (
     ClosureViolationError,
     InconsistentDimsError,
@@ -24,20 +23,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SEMANTIC = 2
 EXIT_INTERNAL = 3
-
-
-class RunConfig(Record):
-    command: str
-    options: dict
-
-    def sampler(self):
-        from conelab.sampling import RationalSampler
-
-        return RationalSampler(
-            seed=self.options.get("seed", 0),
-            max_numerator=self.options.get("max_numerator", 100),
-            max_denominator=self.options.get("max_denominator", 10),
-        )
 
 
 class CommandFailure(Exception):
@@ -113,14 +98,14 @@ def _extremal_dims(r):
     )
 
 
-def cmd_sigma(cfg):
-    r = cfg.options.get("family_dims")
+def cmd_sigma(args):
+    r = args.family_dims
     if r is not None:
         if _over_limit("--family-dims", r, MAX_FAMILY_DIMS):
             return EXIT_INPUT
         table = _extremal_dims(r)
     else:
-        table = _load(cfg.options["dims"], serialize.dims_from_dict, "dims")
+        table = _load(args.dims, serialize.dims_from_dict, "dims")
     sigma = degrees_mod.sigma_from_dims(table)
     _emit(serialize.sigma_to_dict(sigma))
     return EXIT_OK
@@ -137,8 +122,8 @@ def _verified_construction(r):
     return V
 
 
-def cmd_theorem(cfg):
-    r = cfg.options["rank"]
+def cmd_theorem(args):
+    r = args.rank
     V = _verified_construction(r)
     table = V.dims_table()
     if table != _extremal_dims(r):
@@ -161,25 +146,23 @@ def cmd_theorem(cfg):
     return EXIT_OK
 
 
-def cmd_double(cfg):
-    V = _load_realization(cfg.options["infile"])
+def cmd_double(args):
+    V = _load_realization(args.infile)
     from conelab.doubling import double
 
-    _emit(serialize.realization_to_dict(double(V)), cfg.options.get("out"))
+    _emit(serialize.realization_to_dict(double(V)), args.out)
     return EXIT_OK
 
 
-def cmd_iterate(cfg):
-    V = _verified_construction(cfg.options["rank"])
-    _emit(serialize.realization_to_dict(V), cfg.options.get("out"))
+def cmd_iterate(args):
+    V = _verified_construction(args.rank)
+    _emit(serialize.realization_to_dict(V), args.out)
     return EXIT_OK
 
 
-def cmd_member(cfg):
-    V = _load_realization(cfg.options["cone"])
-    point = _load(
-        cfg.options["point"], lambda d: serialize.element_from_dict(d, V), "point"
-    )
+def cmd_member(args):
+    V = _load_realization(args.cone)
+    point = _load(args.point, lambda d: serialize.element_from_dict(d, V), "point")
     from conelab.core import cone_element, ldl_decompose, rho_act
 
     result = ldl_decompose(point, V)
@@ -190,12 +173,12 @@ def cmd_member(cfg):
             raise CommandFailure(
                 EXIT_INTERNAL, "the LDL factors do not rebuild the point"
             )
-    _emit(serialize.ldl_to_dict(result, approx=cfg.options.get("approx", False)))
+    _emit(serialize.ldl_to_dict(result, approx=args.approx))
     return EXIT_OK if result.is_member else EXIT_SEMANTIC
 
 
-def cmd_verify(cfg):
-    V = _load_realization(cfg.options["infile"])
+def cmd_verify(args):
+    V = _load_realization(args.infile)
     # imported after the load, so a malformed file compiles no solver
     from conelab.core import verify_v_conditions
 
@@ -204,20 +187,20 @@ def cmd_verify(cfg):
     return EXIT_OK if report.passed else EXIT_SEMANTIC
 
 
-def cmd_rank3_family(cfg):
+def cmd_rank3_family(args):
     from conelab import rank3
 
-    if _over_limit("--n", cfg.options["n"], MAX_FAMILY_N):
+    if _over_limit("--n", args.n, MAX_FAMILY_N):
         return EXIT_INPUT
-    F = rank3.composition_family(cfg.options["r"], cfg.options["n"])
-    _emit(serialize.family_to_dict(F), cfg.options.get("out"))
+    F = rank3.composition_family(args.r, args.n)
+    _emit(serialize.family_to_dict(F), args.out)
     return EXIT_OK
 
 
-def cmd_rank3_verify(cfg):
+def cmd_rank3_verify(args):
     from conelab import rank3
 
-    F = _load_family(cfg.options["family"])
+    F = _load_family(args.family)
     comp = rank3.verify_composition(F)
     out = {
         "composition": {
@@ -237,19 +220,19 @@ def cmd_rank3_verify(cfg):
     return EXIT_OK if ok else EXIT_SEMANTIC
 
 
-def cmd_rank3_build(cfg):
+def cmd_rank3_build(args):
     from conelab import rank3
 
-    F = _load_family(cfg.options["family"])
-    build = rank3.build_rank3_dual if cfg.options.get("dual") else rank3.build_rank3_cone
-    _emit(serialize.realization_to_dict(build(F)), cfg.options.get("out"))
+    F = _load_family(args.family)
+    build = rank3.build_rank3_dual if args.dual else rank3.build_rank3_cone
+    _emit(serialize.realization_to_dict(build(F)), args.out)
     return EXIT_OK
 
 
-def cmd_rank3_classify(cfg):
+def cmd_rank3_classify(args):
     from conelab import rank3
 
-    r, s, n = cfg.options["triple"]
+    r, s, n = args.triple
     if min(r, s, n) < 0:
         # negative sizes are malformed input, not a refused classification
         raise SerializationError("--triple entries must be nonnegative")
@@ -258,20 +241,18 @@ def cmd_rank3_classify(cfg):
     return EXIT_OK
 
 
-def cmd_rank3_det(cfg):
+def cmd_rank3_det(args):
     from conelab import rank3
 
-    F = _load_family(cfg.options["family"])
-    if cfg.options.get("dual"):
-        point = _load(
-            cfg.options["point"], lambda d: serialize.dual_point_from_dict(d, F), "point"
-        )
+    F = _load_family(args.family)
+    # the closed forms hold only for a family that satisfies its relations
+    rank3._require_composition(F)
+    if args.dual:
+        point = _load(args.point, lambda d: serialize.dual_point_from_dict(d, F), "point")
         value = rank3.det_rank3_dual_closed(point, F)
         matrix = rank3.embed_rank3_dual(point, F)
     else:
-        point = _load(
-            cfg.options["point"], lambda d: serialize.point_from_dict(d, F), "point"
-        )
+        point = _load(args.point, lambda d: serialize.point_from_dict(d, F), "point")
         value = rank3.det_rank3_closed(point, F)
         matrix = rank3.embed_rank3(point, F)
     from conelab.linalg import det_exact
@@ -284,20 +265,21 @@ def cmd_rank3_det(cfg):
             % (serialize.rational_to_str(value), serialize.rational_to_str(oracle)),
         )
     out = {"det": serialize.rational_to_str(value)}
-    if cfg.options.get("approx"):
+    if args.approx:
         out["det_approx"] = serialize.approx_float(value)
     _emit(out)
     return EXIT_OK
 
 
-def cmd_rank3_duality(cfg):
+def cmd_rank3_duality(args):
     from conelab import rank3
+    from conelab.sampling import RationalSampler
 
-    count = cfg.options.get("samples", 10)
+    count = args.samples
     if _over_limit("--samples", count, MAX_DUALITY_SAMPLES):
         return EXIT_INPUT
-    F = _load_family(cfg.options["family"])
-    sampler = cfg.sampler()
+    F = _load_family(args.family)
+    sampler = RationalSampler(args.seed, args.max_numerator, args.max_denominator)
     V = rank3.build_rank3_cone(F)
     Vd = rank3.build_rank3_dual(F)
     for _ in range(count):
@@ -312,7 +294,7 @@ def cmd_rank3_duality(cfg):
             raise CommandFailure(
                 EXIT_INTERNAL, "coupling not positive on interior pair"
             )
-    _emit({"samples": count, "seed": cfg.options.get("seed", 0), "passed": True})
+    _emit({"samples": count, "seed": args.seed, "passed": True})
     return EXIT_OK
 
 
@@ -381,7 +363,9 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank3_family)
 
-    p = r3sub.add_parser("verify", help="check composition relations and L/R consistency")
+    p = r3sub.add_parser(
+        "verify", help="check the composition relations and tR(y)R(y) = |y|^2 I_r"
+    )
     p.add_argument("--family", required=True)
     p.set_defaults(func=cmd_rank3_verify)
 
@@ -418,10 +402,8 @@ def main(argv=None):
         # argparse exits on bad flags (our error() override) and on --help;
         # fold both into the return-code contract so main() always returns.
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    options = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg = RunConfig(command=options.pop("command"), options=options)
     try:
-        return args.func(cfg)
+        return args.func(args)
     except SerializationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

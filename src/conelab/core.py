@@ -91,27 +91,23 @@ class VCollection:
     def __init__(self, partition, bases):
         if not isinstance(partition, BlockPartition):
             partition = BlockPartition(tuple(partition))
-        stored = {}
         for (k, j), mats in bases.items():
             nk, nj = _space_shape(partition, k, j)
-            if not mats:
-                continue
-            elements = []
             for idx, mat in enumerate(mats):
                 if len(mat) != nk or any(len(row) != nj for row in mat):
                     raise StructureError(
                         "basis element %d of V_%d%d is not %d x %d"
                         % (idx + 1, k, j, nk, nj)
                     )
-                for row in mat:
-                    for e in row:
-                        if not _is_rational(e):
-                            raise StructureError(
-                                "non-rational entry in basis of V_%d%d" % (k, j)
-                            )
-                elements.append(kernels.sparse_entries(mat))
-            stored[(k, j)] = tuple(elements)
-        self._store(partition, stored)
+        # every entry, zeros included, so a float zero is refused like any float
+        entries = {
+            key: [
+                [(u, v, e) for u, row in enumerate(mat) for v, e in enumerate(row)]
+                for mat in mats
+            ]
+            for key, mats in bases.items()
+        }
+        self._store(partition, self.from_entries(partition, entries)._bases)
 
     @classmethod
     def from_entries(cls, partition, entries):

@@ -54,7 +54,7 @@ def double(V):
     The result's rank V.r + 1 must not exceed rank_cap(), as for
     iterate_construction.
     """
-    _check_rank(V.r + 1, rank_cap())
+    _check_rank(V.r + 1)
     report = verify_v_conditions(V)
     if not report.passed:
         raise StructureError(
@@ -78,7 +78,8 @@ def rank_cap():
     return cap
 
 
-def _check_rank(r, limit):
+def _check_rank(r):
+    limit = rank_cap()
     if r > limit:
         raise StructureError(
             "rank %d exceeds the cap %d (set %s to raise it)"
@@ -86,7 +87,7 @@ def _check_rank(r, limit):
         )
 
 
-def iterate_construction(r, cap=None):
+def iterate_construction(r):
     """Apply the doubling step r-1 times starting from the rank-1 datum.
 
     The result has partition (2^{r-1}, ..., 2, 1) and total size 2^r - 1.
@@ -97,13 +98,13 @@ def iterate_construction(r, cap=None):
     (see _double_unchecked), so building rank 7 takes about 0.3 ms and rank
     10 about 2 ms. The default cap of 13 is set by the dense JSON that
     `conelab iterate` and `double` write, which grows 4x per rank, not by
-    verification (`conelab theorem --rank 13` took 1.4-1.8 s and rank 14
-    3.1-3.7 s on a 2-vCPU VM with Python 3.11, about 2.1x per rank). The
-    cap can be lifted via the cap argument or the CONELAB_RANK_CAP variable.
+    verification (`conelab theorem --rank 13` took 0.95 s and rank 14 2.32 s
+    as cold calls on a 2-vCPU VM with Python 3.11, about 2.4x per rank; see
+    BENCH_15.json). The CONELAB_RANK_CAP variable lifts the cap.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("rank must be a positive integer")
-    _check_rank(r, cap if cap is not None else rank_cap())
+    _check_rank(r)
     V = VCollection(BlockPartition((1,)), {})
     for _ in range(r - 1):
         V = _double_unchecked(V)

@@ -31,13 +31,7 @@ from math import comb
 from conelab import _kernels as kernels
 from conelab import linalg, poly
 from conelab._record import Record
-from conelab.core import (
-    BlockPartition,
-    VCollection,
-    _is_rational,
-    cone_element,
-    verify_v_conditions,
-)
+from conelab.core import VCollection, _is_rational, cone_element, verify_v_conditions
 from conelab.degrees import (
     degrees_from_sigma,
     dual_degrees_rank3,
@@ -135,10 +129,11 @@ def R_matrix(F, ys):
 def dual_family(F):
     """The swapped family: r and s exchanged, A'_b[nu][i] = A_i[nu][b].
 
-    Then L'(y) = R(y), R'(x) = L(x), and its relations tR(y)R(y) = |y|^2 I_r
-    hold exactly when F's do (consistency_LR checks the implication). Built
-    from the already-checked F, since for r = 0 it has s' = 0, which the
-    constructor refuses on input. dual_family(dual_family(F)) == F.
+    Then L'(y) = R(y) and R'(x) = L(x). Its relations, tR(y)R(y) = |y|^2 I_r,
+    hold exactly when F's do: entry (i, j) of tR(y)R(y) is y^T tA_i A_j y =
+    y^T (tA_i A_j + tA_j A_i)/2 y (see consistency_LR). Built from the
+    already-checked F, since for r = 0 it has s' = 0, which the constructor
+    refuses on input. dual_family(dual_family(F)) == F.
     """
     cols = [tuple(zip(*A)) for A in F.mats]  # cols[i][b]: column b of A_i
     G = CompositionFamily.__new__(CompositionFamily)
@@ -266,39 +261,20 @@ class LRReport(Record):
 
 
 def consistency_LR(F):
-    """Bilinear agreement L(x)y = R(y)x and the implied tR(y)R(y) = |y|^2 I_r.
+    """tR(y)R(y) = |y|^2 I_r as a polynomial identity in y, exactly.
 
-    Both checks are coefficient-wise over the monomials x_i y_b, so passing
-    is a polynomial identity, not a sampled one.
+    Entry (i, j) of tR(y)R(y) is the quadratic form y^T tA_i A_j y =
+    y^T (tA_i A_j + tA_j A_i)/2 y, which is |y|^2 delta_ij identically
+    exactly when pair (i, j) of the composition relations holds, so
+    verify_composition decides it and names the same first pair, here
+    ("RR", i, j). The bilinear agreement L(x)y = R(y)x holds by the
+    definition of R.
     """
-    # coefficient of x_i y_b in (L(x)y)_nu is A_i[nu][b]; in (R(y)x)_nu it is
-    # the (nu, i) entry of R(e_b)
-    for b in range(F.s):
-        e_b = [int(t == b) for t in range(F.s)]
-        col = R_matrix(F, e_b)
-        for i in range(F.r):
-            for nu in range(F.n):
-                if col[nu][i] != F.mats[i][nu][b]:
-                    return LRReport(False, ("LR", nu + 1, i + 1, b + 1))
-    yvars = poly.variables(F.s)
-    R = R_matrix(F, yvars)
-    norm2 = poly.pnorm2(yvars)
-    for i in range(F.r):
-        for j in range(i, F.r):
-            acc = poly.Poly.zero(F.s)
-            for nu in range(F.n):
-                acc = acc + R[nu][i] * R[nu][j]
-            want = norm2 if i == j else poly.Poly.zero(F.s)
-            if acc != want:
-                return LRReport(False, ("RR", i + 1, j + 1))
-    return LRReport(True)
+    rep = verify_composition(F)
+    return LRReport(True) if rep.passed else LRReport(False, ("RR", *rep.pair))
 
 
 # --- realizations -------------------------------------------------------------
-
-
-def _standard_rows(width):
-    return [[[int(t == v) for t in range(width)]] for v in range(width)]
 
 
 def _require_composition(F):
@@ -318,22 +294,28 @@ def build_rank3_cone(F):
 def _realize(F):
     """build_rank3_cone without the composition check; self-checks (V1)-(V3)."""
     if F.r == 0:
-        m = F.s + F.n
-        bases = {
-            (2, 1): [[[int(t == b) for t in range(m)]] for b in range(F.s)],
-            (3, 1): [[[int(t == F.s + v) for t in range(m)]] for v in range(F.n)],
+        partition = (F.s + F.n, 1, 1)
+        entries = {
+            (2, 1): [[(0, b, 1)] for b in range(F.s)],
+            (3, 1): [[(0, F.s + v, 1)] for v in range(F.n)],
         }
-        V = VCollection(BlockPartition((m, 1, 1)), bases)
     else:
-        v21 = []
-        for b in range(F.s):
-            v21.append([[F.mats[i][nu][b] for nu in range(F.n)] for i in range(F.r)])
-        bases = {
-            (2, 1): v21,
-            (3, 1): _standard_rows(F.n),
-            (3, 2): _standard_rows(F.r),
+        # element b of V_21 is the r x n matrix whose row i is column b of A_i
+        partition = (F.n, F.r, 1)
+        entries = {
+            (2, 1): [
+                [
+                    (i, nu, A[nu][b])
+                    for i, A in enumerate(F.mats)
+                    for nu in range(F.n)
+                    if A[nu][b]
+                ]
+                for b in range(F.s)
+            ],
+            (3, 1): [[(0, nu, 1)] for nu in range(F.n)],
+            (3, 2): [[(0, i, 1)] for i in range(F.r)],
         }
-        V = VCollection(BlockPartition((F.n, F.r, 1)), bases)
+    V = VCollection.from_entries(partition, entries)
     report = verify_v_conditions(V)
     if not report.passed:
         raise StructureError(

@@ -343,6 +343,28 @@ def test_rank3_det(capsys, tmp_path):
     assert da["det_approx"] == float(d["det"])
 
 
+@pytest.mark.parametrize(
+    "point, flags",
+    [
+        ({"x11": 3, "x22": 5, "x33": 7, "x": ["1"], "y": ["2"], "z": ["1"]}, ()),
+        (
+            {"xi11": 3, "xi22": 5, "xi33": 7, "xi": ["1"], "eta": ["2"], "zeta": ["1"]},
+            ("--dual",),
+        ),
+    ],
+    ids=["primal", "dual"],
+)
+def test_rank3_det_broken_family_exit_2(capsys, tmp_path, point, flags):
+    # A_1 = [[2]] breaks tA_1 A_1 = I, so no closed form applies to it
+    fam = tmp_path / "broken.json"
+    fam.write_text(json.dumps({"r": 1, "s": 1, "n": 1, "A": [[["2"]]]}), encoding="utf-8")
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps(point), encoding="utf-8")
+    code, out, err = run(capsys, "rank3", "det", "--family", str(fam), "--point", str(pt), *flags)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "pair (1, 1)" in err
+
+
 def test_rank3_det_rejects_mismatched_point(capsys, tmp_path):
     _, fam = write_family(tmp_path)
     point = tmp_path / "pt.json"

@@ -65,12 +65,19 @@ def test_block_partition_basics():
 
 
 def test_vcollection_shape_checks():
-    with pytest.raises(StructureError, match="bad space index"):
-        VCollection(BlockPartition((2, 1)), {(1, 2): [[[1, 0]]]})
-    with pytest.raises(StructureError, match="not 1 x 2"):
-        VCollection(BlockPartition((2, 1)), {(2, 1): [[[1], [0]]]})
-    with pytest.raises(StructureError, match="non-rational"):
-        VCollection(BlockPartition((2, 1)), {(2, 1): [[[0.5, 0]]]})
+    cases = [
+        ({(1, 2): [[[1, 0]]]}, "bad space index (1, 2) for rank 2"),
+        ({(2, 1): [[[1], [0]]]}, "basis element 1 of V_21 is not 1 x 2"),
+        ({(2, 1): [[[1, 0]], [[1, 0, 0]]]}, "basis element 2 of V_21 is not 1 x 2"),
+        ({(2, 1): [[[0.5, 0]]]}, "non-rational entry in basis of V_21"),
+        # zero entries are checked too
+        ({(2, 1): [[[1, 0.0]]]}, "non-rational entry in basis of V_21"),
+        ({(2, 1): [[[True, 0]]]}, "non-rational entry in basis of V_21"),
+    ]
+    for bases, message in cases:
+        with pytest.raises(StructureError) as exc:
+            VCollection(BlockPartition((2, 1)), bases)
+        assert str(exc.value) == message
 
 
 def test_vcollection_dims_and_pairs(omega2, omega3):

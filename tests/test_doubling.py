@@ -145,11 +145,6 @@ def test_rank_cap_env(monkeypatch):
         rank_cap()
 
 
-def test_cap_argument_overrides_env(monkeypatch):
-    monkeypatch.setenv(RANK_CAP_ENV, "2")
-    assert iterate_construction(4, cap=5).partition.total == 15
-
-
 def test_double_general_input_not_from_iteration():
     # a skew but valid basis still doubles into a valid realization
     V = VCollection(BlockPartition((2, 1)), {(2, 1): [[[1, 1]], [[1, 0]]]})

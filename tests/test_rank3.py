@@ -19,6 +19,7 @@ from conelab.rank3 import (
     Classification,
     CompositionFamily,
     L_matrix,
+    LRReport,
     R_matrix,
     build_rank3_cone,
     build_rank3_dual,
@@ -237,6 +238,28 @@ def test_consistency_LR_detects_corruption(fixture_family):
     bad = CompositionFamily(3, 5, 7, mats)
     report = consistency_LR(bad)
     assert not report.passed
+
+
+@pytest.mark.parametrize("rn", [None, (8, 16), (4, 8), (3, 4)], ids=str)
+def test_consistency_LR_matches_dense_oracle(rn):
+    """One- and two-entry corruptions: the same verdict and first pair."""
+    F = bundled_family_3_5_7() if rn is None else _family(*rn)
+    assert consistency_LR(F) == LRReport(True)
+    assert consistency_LR(dual_family(F)) == LRReport(True)
+    rng = random.Random(31)
+    failed = 0
+    for _ in range(100):
+        mats = [[list(row) for row in A] for A in F.mats]
+        for _ in range(rng.choice([1, 2])):
+            i, u, v = rng.randrange(F.r), rng.randrange(F.n), rng.randrange(F.s)
+            mats[i][u][v] = rng.choice([0, -mats[i][u][v], Fraction(1, 2), 2, -1, 1])
+        bad = CompositionFamily(F.r, F.s, F.n, mats)
+        want = dense_verify_composition(bad)
+        report = consistency_LR(bad)
+        assert report.passed == (want is None)
+        assert report.mismatch == (None if want is None else ("RR", *want))
+        failed += want is not None
+    assert failed >= 50
 
 
 def test_fixture_matches_paper_family(fixture_family):
