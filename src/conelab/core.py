@@ -22,7 +22,6 @@ arithmetic; no floats enter at any point.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from conelab import _kernels as kernels
@@ -456,16 +455,6 @@ def project_group(M, V):
     return GroupElement(diag=diag, lower=lower)
 
 
-def inner_product_space(X, Y):
-    """The scalar c with (X tY + Y tX)/2 = c I; StructureError if not scalar."""
-    c = kernels.sym_pair_scalar(X, Y)
-    if c is None:
-        raise StructureError(
-            "(V3) violation: symmetrized product is not a scalar matrix"
-        )
-    return c
-
-
 def _bilinear(a, G, b):
     acc = 0
     for u, av in enumerate(a):
@@ -559,17 +548,8 @@ def _integer_scaled(diag, coords):
     and the action and the group product are linear in each argument, so
     they run on the scaled values and divide once at the end.
     """
-    L = math.lcm(
-        *(c.denominator for c in diag),
-        *(c.denominator for cs in coords.values() for c in cs),
-    )
-    if L == 1:
-        return 1, diag, coords
-
-    def scale(values):
-        return tuple(c.numerator * (L // c.denominator) for c in values)
-
-    return L, scale(diag), {key: scale(cs) for key, cs in coords.items()}
+    (d, *cs), L = linalg.clear_denominators([diag, *coords.values()])
+    return L, d, dict(zip(coords, cs))
 
 
 def _divided(values, L):

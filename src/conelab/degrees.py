@@ -21,7 +21,7 @@ class DimTable:
     __slots__ = ("r", "_d")
 
     def __init__(self, r, dims):
-        if not isinstance(r, int) or r < 1:
+        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
             raise ValueError("rank must be a positive integer")
         self.r = r
         self._d = {}
@@ -152,7 +152,7 @@ def dual_degrees_rank3(r, s, n):
     numbering, top degree first.
     """
     for name, v in (("r", r), ("s", s), ("n", n)):
-        if not isinstance(v, int) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError("%s must be a nonnegative integer" % name)
     swapped = rank3_table(d21=r, d31=n, d32=s)
     degrees = degrees_from_sigma(sigma_from_dims(swapped))

@@ -11,16 +11,18 @@ yields a rank-3 realization on the partition (n, r, 1) whose elements are
      [tR(y),   x22 I_r, x  ],
      [tz,      tx,      x33]],
 
-with R(y) the n x r matrix whose i-th column is A_i y. The dual cone (size
-1 + s + n) and every dual object are the primal ones of dual_family(F),
-read with the blocks reversed; the dual point (xi11, xi22, xi33, xi, eta,
-zeta) is that family's primal point (xi33, xi22, xi11, eta, xi, zeta). Only
-embed_rank3_dual is built on its own, as the oracle of this. Closed-form
-determinants, the duality coupling and its Schur-style decomposition,
-relative invariants, and the four-case degree classification live here too.
+with R(y) the n x r matrix whose i-th column is A_i y. The r = 0 degenerate
+case uses a block-diagonal layout on (s + n, 1, 1) instead; the generic
+layout presumes r >= 1. Both are written once, in _realization: the cone
+and the matrix of a point (embed_rank3) are read from it.
 
-The r = 0 degenerate case uses a block-diagonal layout on (s + n, 1, 1)
-instead; the generic layout presumes r >= 1.
+The dual cone (size 1 + s + n) and every dual object are the primal ones
+of dual_family(F), read with the blocks reversed; the dual point (xi11,
+xi22, xi33, xi, eta, zeta) is that family's primal point (xi33, xi22, xi11,
+eta, xi, zeta). embed_rank3_dual is the only embedding built on its own, as
+the independent oracle of this identification. Closed-form determinants,
+the duality coupling and its Schur-style decomposition, relative
+invariants, and the four-case degree classification live here too.
 """
 
 from collections import namedtuple
@@ -31,8 +33,11 @@ from math import comb
 from conelab import _kernels as kernels
 from conelab import linalg, poly
 from conelab._record import Record
-from conelab.core import VCollection, _is_rational, cone_element, verify_v_conditions
+from conelab.core import (
+    VCollection, _is_rational, cone_element, embed, verify_v_conditions,
+)
 from conelab.degrees import (
+    character_exponents,
     degrees_from_sigma,
     dual_degrees_rank3,
     rank3_table,
@@ -113,17 +118,9 @@ def L_matrix(F, xs):
 
 
 def R_matrix(F, ys):
-    """n x r matrix whose i-th column is A_i applied to ys."""
-    out = [[0] * F.r for _ in range(F.n)]
-    for i, A in enumerate(F.mats):
-        for u in range(F.n):
-            acc = 0
-            Au = A[u]
-            for b in range(F.s):
-                if Au[b]:
-                    acc = acc + Au[b] * ys[b]
-            out[u][i] = acc
-    return out
+    """n x r matrix whose i-th column is A_i applied to ys: L(ys) of
+    dual_family(F)."""
+    return L_matrix(dual_family(F), ys)
 
 
 def dual_family(F):
@@ -211,17 +208,23 @@ def _unit_family(m):
     return out
 
 
-def composition_family(r, n):
-    """A square family (s = n) with A_1 = I and entries in {-1, 0, 1}."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise StructureError("r must be a positive integer")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise StructureError("n must be a positive integer")
+def _check_hurwitz_radon(r, n):
+    """Refuses r > rho(n): no family of r square n x n matrices exists.
+
+    For r = n this leaves exactly n in {1, 2, 4, 8} (Hurwitz-Radon).
+    """
     rho = hurwitz_radon_number(n)
     if r > rho:
         raise StructureError(
             "r = %d exceeds the Hurwitz-Radon bound rho(%d) = %d" % (r, n, rho)
         )
+
+
+def composition_family(r, n):
+    """A square family (s = n) with A_1 = I and entries in {-1, 0, 1}."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise StructureError("r must be a positive integer")
+    _check_hurwitz_radon(r, n)
     m = (n & -n).bit_length() - 1
     odd = n >> m
     base = _unit_family(m)[:r]
@@ -291,8 +294,11 @@ def build_rank3_cone(F):
     return _realize(F)
 
 
-def _realize(F):
-    """build_rank3_cone without the composition check; self-checks (V1)-(V3)."""
+def _realization(F):
+    """F's block layout as a realization, its closure conditions unchecked.
+
+    The one statement of the layout: build_rank3_cone and embed_rank3 read it.
+    """
     if F.r == 0:
         partition = (F.s + F.n, 1, 1)
         entries = {
@@ -315,7 +321,12 @@ def _realize(F):
             (3, 1): [[(0, nu, 1)] for nu in range(F.n)],
             (3, 2): [[(0, i, 1)] for i in range(F.r)],
         }
-    V = VCollection.from_entries(partition, entries)
+    return VCollection.from_entries(partition, entries)
+
+
+def _realize(F):
+    """build_rank3_cone without the composition check; self-checks (V1)-(V3)."""
+    V = _realization(F)
     report = verify_v_conditions(V)
     if not report.passed:
         raise StructureError(
@@ -442,39 +453,8 @@ def dual_from_cone_element(e, F):
 
 def embed_rank3(X, F):
     """Symmetric matrix of a Rank3Element in its block layout."""
-    r, s, n = F.r, F.s, F.n
-    if r == 0:
-        m = s + n
-        N = m + 2
-        M = [[0] * N for _ in range(N)]
-        for t in range(m):
-            M[t][t] = X.x11
-        M[m][m] = X.x22
-        M[m + 1][m + 1] = X.x33
-        for b in range(s):
-            M[m][b] = M[b][m] = X.y[b]
-        for v in range(n):
-            M[m + 1][s + v] = M[s + v][m + 1] = X.z[v]
-        return M
-    N = n + r + 1
-    R = R_matrix(F, X.y)
-    M = [[0] * N for _ in range(N)]
-    for t in range(n):
-        M[t][t] = X.x11
-    for i in range(r):
-        M[n + i][n + i] = X.x22
-    M[N - 1][N - 1] = X.x33
-    for t in range(n):
-        for i in range(r):
-            if R[t][i]:
-                M[t][n + i] = M[n + i][t] = R[t][i]
-    for t in range(n):
-        if X.z[t]:
-            M[t][N - 1] = M[N - 1][t] = X.z[t]
-    for i in range(r):
-        if X.x[i]:
-            M[n + i][N - 1] = M[N - 1][n + i] = X.x[i]
-    return M
+    V = _realization(F)
+    return embed(to_cone_element(X, F, V), V)
 
 
 def embed_rank3_dual(Xi, F):
@@ -644,6 +624,11 @@ def coupling_decomposition_check(X, Xi, F):
     Both sides are homogeneous of degree one in each point and each ratio
     in its point, so the check runs on both points scaled to integers (no
     sign changes) and divides lhs and rhs once at the end.
+
+    The bordered block of the dual matrix is solved in closed form, which
+    holds only under the composition relations. When its exact check fails,
+    F is refused with StructureError naming its first failing pair, as
+    build_rank3_cone refuses it.
     """
     r, s, n = F.r, F.s, F.n
     (X, L), (Xi, Ld) = _scaled(X), _scaled(Xi)
@@ -671,11 +656,10 @@ def coupling_decomposition_check(X, Xi, F):
     v_vec = list(Xi.eta) + list(Xi.zeta)
     solved = _bordered_solve(Xi, Lxi, v_vec, s)
     if solved is None:
-        # F breaks the composition relations: eliminate the block itself
-        big = [row[1:] for row in embed_rank3_dual(Xi, F)[1:]]
-        (B,), LB = linalg.clear_denominators([linalg.solve_linear(big, v_vec)])
-    else:
-        B, LB = solved
+        # the closed form fails only where F breaks its relations
+        _require_composition(F)
+        raise RuntimeError("bordered solve fails on a composition family")
+    B, LB = solved
     xidd11 = Xi.xi11 - Fraction(kernels.dot(v_vec, B), LB)
 
     # C = B / LB + (y, z) / x11, and C^T big C
@@ -717,7 +701,7 @@ class InvariantList(Record):
     degrees: tuple
 
 
-def primal_values(X, F=None):
+def primal_values(X):
     """Field order: (x11, x22, x33, x*, y*, z*), or (xi11, ..., zeta*)."""
     a11, a22, a33, *vecs = (getattr(X, name) for name in X._fields)
     return [a11, a22, a33, *(v for vec in vecs for v in vec)]
@@ -786,10 +770,9 @@ def relative_invariance_check(F, invariants, sigma, sampler, samples=10):
         act_vals = to_vals(hx)
         for j in range(1, V.r + 1):
             character = 1
-            for i in range(1, j + 1):
-                exp = 2 * sigma.entry(j, i)
+            for t, exp in zip(h.diag, character_exponents(sigma, j)):
                 if exp:
-                    character = character * h.diag[i - 1] ** exp
+                    character = character * t**exp
             lhs = polys[j - 1].evaluate(act_vals)
             rhs = character * polys[j - 1].evaluate(base_vals)
             checked += 1
@@ -866,8 +849,8 @@ def classify_degrees(r, s, n):
 
     Input is normalized to r <= s by swapping (the swap dualizes, so degrees
     are reported for the normalized triple). Rejects non-realizable shapes:
-    r = s = n outside {1, 2, 4, 8}, r < s = n with r beyond rho(n), and
-    s < n with an odd C(n, k), n - s < k < r (naming the first such k).
+    s = n with r beyond rho(n), which for r = n leaves n in {1, 2, 4, 8},
+    and s < n with an odd C(n, k), n - s < k < r (naming the first such k).
     """
     for name, v in (("r", r), ("s", s), ("n", n)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -883,20 +866,8 @@ def classify_degrees(r, s, n):
     if r == 0:
         case = 4
     elif s == n:
-        if r == n:
-            if n not in (1, 2, 4, 8):
-                raise StructureError(
-                    "r = s = n is only realizable for n in {1, 2, 4, 8}"
-                )
-            case = 1
-        else:
-            rho = hurwitz_radon_number(n)
-            if r > rho:
-                raise StructureError(
-                    "r = %d exceeds the Hurwitz-Radon bound rho(%d) = %d"
-                    % (r, n, rho)
-                )
-            case = 2
+        _check_hurwitz_radon(r, n)
+        case = 1 if r == n else 2
     else:
         # Hopf-Stiefel: a family is a nonsingular bilinear map R^r x R^s ->
         # R^n, which needs C(n, k) even for n - s < k < r

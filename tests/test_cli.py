@@ -276,11 +276,20 @@ def test_rank3_family_n_limit(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_rank3_verify(capsys, tmp_path):
+def test_rank3_verify(capsys, tmp_path, monkeypatch):
+    # the relations are decided once: one Gram kernel call for both keys
+    from conelab import _kernels
+
+    calls = []
+    original = _kernels.gram_violation
+    monkeypatch.setattr(
+        _kernels, "gram_violation", lambda *args: calls.append(1) or original(*args)
+    )
     _, fam = write_family(tmp_path)
     d = run_json(capsys, "rank3", "verify", "--family", fam)
     assert d["composition"] == {"passed": True, "pair": None}
     assert d["lr"] == {"passed": True, "mismatch": None}
+    assert calls == [1]
 
 
 def test_rank3_verify_broken_family_exit_2(capsys, tmp_path):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conelab import linalg
+from conelab import _kernels, linalg
 from conelab.core import (
     BlockPartition,
     VCollection,
@@ -24,7 +24,6 @@ from conelab.core import (
     group_identity,
     identity_element,
     inner_product_V,
-    inner_product_space,
     is_member,
     ldl_decompose,
     project,
@@ -159,13 +158,13 @@ def test_project_group_rejects_upper_entries(omega2):
         project_group(M, omega2)
 
 
-def test_inner_product_space_examples(omega2):
+def test_sym_pair_scalar_examples():
+    # (X tY + Y tX)/2 = c I gives c; a non-scalar symmetrization gives None
     X = [[1, 0]]
     Y = [[0, 1]]
-    assert inner_product_space(X, Y) == 0
-    assert inner_product_space(X, X) == 1
-    with pytest.raises(StructureError):
-        inner_product_space([[1, 0], [0, 1]], [[0, 1], [0, 0]])
+    assert _kernels.sym_pair_scalar(X, Y) == 0
+    assert _kernels.sym_pair_scalar(X, X) == 1
+    assert _kernels.sym_pair_scalar([[1, 0], [0, 1]], [[0, 1], [0, 0]]) is None
 
 
 def test_inner_product_V_single_coordinate(omega2):
@@ -309,7 +308,6 @@ def test_verify_v3_counterexample():
 def test_verify_scalar_products_computed_once(monkeypatch):
     # (V3) and the orthonormal flag share one Gram pass: one (V3) kernel call
     # per declared space (10 at rank 5), and gram()/is_orthonormal() reuse it
-    from conelab import _kernels
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(5)
@@ -334,8 +332,6 @@ def test_verify_scalar_products_computed_once(monkeypatch):
 def _counting_decisions(monkeypatch):
     """Wrap the (V1)/(V2) kernel; the list it returns collects each call's
     count of nonzero products decided against a span."""
-    from conelab import _kernels
-
     decided = []
     original = _kernels.span_violation
 

@@ -23,6 +23,8 @@ def extremal_table(r):
 def test_dim_table_validation():
     with pytest.raises(ValueError, match="positive integer"):
         DimTable(0, {})
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        DimTable(True, {})  # a bool is not a rank
     with pytest.raises(ValueError, match="bad index"):
         DimTable(2, {(1, 2): 1})
     with pytest.raises(ValueError, match="nonnegative"):
@@ -146,6 +148,13 @@ def test_dual_degrees_rank3_published_cases():
     assert dual_degrees_rank3(3, 5, 7) == (4, 2, 1)
     assert dual_degrees_rank3(0, 4, 9) == (3, 1, 1)
     assert dual_degrees_rank3(0, 1, 2) == (3, 1, 1)
+
+
+@pytest.mark.parametrize("args, name", [((True, 2, 3), "r"), ((0, True, 3), "s"),
+                                        ((1, 2, False), "n")])
+def test_dual_degrees_rank3_refuses_bool_naming_it(args, name):
+    with pytest.raises(ValueError, match="^%s must be a nonnegative integer" % name):
+        dual_degrees_rank3(*args)
 
 
 def test_dual_degrees_self_dual_cases():

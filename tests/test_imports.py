@@ -87,3 +87,20 @@ def test_every_public_name_resolves():
         "    raise SystemExit('unknown name resolved')"
     )
     assert {"conelab.backend", "conelab.rank3"} <= loaded
+
+
+def test_every_benchmark_traced_name_resolves(monkeypatch):
+    # the benchmark's tracer wraps these names, so deleting one breaks it;
+    # perfbench/ is only read: no bytecode is written there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(SRC), "perfbench"))
+    import tracer
+
+    try:
+        missing = [
+            span for owner, attribute, span, _ in tracer.targets()
+            if not hasattr(owner, attribute)
+        ]
+    finally:
+        del sys.modules["tracer"]
+    assert missing == []

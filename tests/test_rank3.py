@@ -337,7 +337,10 @@ def test_dual_family_swaps_L_and_R(name):
     rng = random.Random(23)
     xs = [rng.randint(-5, 5) for _ in range(F.r)]
     ys = [rng.randint(-5, 5) for _ in range(F.s)]
+    # R(y) by its definition: column i is A_i y
+    cols = [linalg.mat_vec(A, ys) for A in F.mats]
     assert L_matrix(D, ys) == R_matrix(F, ys)
+    assert R_matrix(F, ys) == [[c[u] for c in cols] for u in range(F.n)]
     assert R_matrix(D, xs) == L_matrix(F, xs)
 
 
@@ -379,13 +382,32 @@ def test_build_degrees_2_2_2():
     assert degs == (1, 2, 3)
 
 
-def test_embed_rank3_agrees_with_realization(fixture_family):
-    sampler = RationalSampler(seed=31)
-    F = fixture_family
-    V = build_rank3_cone(F)
-    for _ in range(5):
-        X = sampler.rank3_element(F)
-        assert embed_rank3(X, F) == embed(to_cone_element(X, F, V), V)
+def test_embed_rank3_layout_literal():
+    # the module docstring's layouts, written out by hand with distinct entries
+    F = _family(2, 2)
+    assert F.mats == (((1, 0), (0, 1)), ((0, -1), (1, 0)))
+    X = rank3_element(F, 2, 3, 5, x=(7, 11), y=(13, 17), z=(19, 23))
+    # R(y) = [[13, -17], [17, 13]]: column i is A_i y
+    assert embed_rank3(X, F) == [
+        [2, 0, 13, -17, 19],
+        [0, 2, 17, 13, 23],
+        [13, 17, 3, 0, 7],
+        [-17, 13, 0, 3, 11],
+        [19, 23, 7, 11, 5],
+    ]
+    # r = 0: block diagonal on (s + n, 1, 1), y against the first s slots
+    # and z against the last n
+    F0 = _zero_family(2, 3)
+    X0 = rank3_element(F0, 2, 3, 5, y=(13, 17), z=(19, 23, 29))
+    assert embed_rank3(X0, F0) == [
+        [2, 0, 0, 0, 0, 13, 0],
+        [0, 2, 0, 0, 0, 17, 0],
+        [0, 0, 2, 0, 0, 0, 19],
+        [0, 0, 0, 2, 0, 0, 23],
+        [0, 0, 0, 0, 2, 0, 29],
+        [13, 17, 0, 0, 0, 3, 0],
+        [0, 0, 19, 23, 29, 0, 5],
+    ]
 
 
 @pytest.mark.parametrize("name", list(_CASE_FAMILIES))
@@ -585,9 +607,8 @@ def test_coupling_decomposition_r0():
     ids=["3_5_7", "4_8", "8_8", "8_16", "10_32", "r0_2_3", "r0_1_1", "r0_4_7"],
 )
 def test_coupling_bordered_solve_matches_solve_linear(monkeypatch, family):
-    # the closed-form solve of the bordered block is checked before use;
-    # forcing that check to fail takes the solve_linear path, which must
-    # give the same report, and the closed form must not call it
+    # the closed-form solve of the bordered block of embed_rank3_dual against
+    # elimination of that block; the coupling check itself calls no solver
     from conelab import rank3
 
     F = family()
@@ -597,24 +618,23 @@ def test_coupling_bordered_solve_matches_solve_linear(monkeypatch, family):
         (sampler.interior_rank3(F, V), sampler.interior_rank3_dual(F, Vd))
         for _ in range(3)
     ]
+    for _, Xi in points:
+        big = [row[1:] for row in embed_rank3_dual(Xi, F)[1:]]
+        v = list(Xi.eta) + list(Xi.zeta)
+        B, LB = rank3._bordered_solve(Xi, L_matrix(F, Xi.xi), v, F.s)
+        assert [Fraction(b, LB) for b in B] == linalg.solve_linear(big, v)
     solves = []
     solve_linear = linalg.solve_linear
-
-    def counting(A, b):
-        solves.append(len(A))
-        return solve_linear(A, b)
-
-    monkeypatch.setattr(linalg, "solve_linear", counting)
-    fast = [coupling_decomposition_check(X, Xi, F) for X, Xi in points]
-    assert solves == [] and all(res.passed for res in fast)
-    monkeypatch.setattr(rank3, "_bordered_solve", lambda *args: None)
-    assert [coupling_decomposition_check(X, Xi, F) for X, Xi in points] == fast
-    assert solves == [F.s + F.n] * len(points)
+    monkeypatch.setattr(
+        linalg, "solve_linear", lambda A, b: solves.append(1) or solve_linear(A, b)
+    )
+    assert all(coupling_decomposition_check(X, Xi, F).passed for X, Xi in points)
+    assert solves == []
 
 
-def test_coupling_broken_family_falls_back_to_solve_linear(monkeypatch):
+def test_coupling_refuses_broken_family_with_its_pair(monkeypatch):
     # A_2 = A_1 = I breaks tA_1 A_2 + tA_2 A_1 = 0, so tL L != |xi|^2 I and
-    # the closed-form solve fails its check: the block is eliminated instead
+    # the closed-form solve fails its check: F is refused, as by build_rank3_cone
     from conelab import rank3
 
     F = CompositionFamily(2, 2, 2, [[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
@@ -623,12 +643,15 @@ def test_coupling_broken_family_falls_back_to_solve_linear(monkeypatch):
     v = list(Xi.eta) + list(Xi.zeta)
     assert rank3._bordered_solve(Xi, L_matrix(F, Xi.xi), v, F.s) is None
     solves = []
-    solve_linear = linalg.solve_linear
-    monkeypatch.setattr(
-        linalg, "solve_linear", lambda A, b: solves.append(1) or solve_linear(A, b)
-    )
-    res = coupling_decomposition_check(X, Xi, F)
-    assert solves == [1] and res.lhs == coupling(X, Xi)
+    monkeypatch.setattr(linalg, "solve_linear", lambda A, b: solves.append(1))
+    with pytest.raises(StructureError, match=r"pair \(1, 2\)"):
+        coupling_decomposition_check(X, Xi, F)
+    assert solves == []
+    # on a family that keeps its relations a failed check is an internal fault
+    G = _family(2, 2)
+    monkeypatch.setattr(rank3, "_bordered_solve", lambda *args: None)
+    with pytest.raises(RuntimeError, match="bordered solve"):
+        coupling_decomposition_check(identity_rank3(G), identity_rank3_dual(G), G)
 
 
 def test_coupling_decomposition_preconditions(fixture_family):
@@ -669,7 +692,7 @@ def test_invariants_evaluate_to_det_factors(name, exps):
     sampler = RationalSampler(seed=40, max_numerator=7, max_denominator=3)
     for _ in range(5):
         X = sampler.rank3_element(F)
-        vals = primal_values(X, F)
+        vals = primal_values(X)
         d1, d2, d3 = (p.evaluate(vals) for p in inv.polys)
         e1, e2, e3 = exps
         assert d1**e1 * d2**e2 * d3**e3 == linalg.det_exact(embed_rank3(X, F))
@@ -688,7 +711,7 @@ def test_dual_invariants_evaluate_to_det_factors(name, exps):
     sampler = RationalSampler(seed=41, max_numerator=7, max_denominator=3)
     for _ in range(5):
         Xi = sampler.dual_rank3_element(F)
-        vals = primal_values(Xi, F)
+        vals = primal_values(Xi)
         d1, d2, d3 = (p.evaluate(vals) for p in inv.polys)
         e1, e2, e3 = exps
         assert d1**e1 * d2**e2 * d3**e3 == linalg.det_exact(embed_rank3_dual(Xi, F))
@@ -714,12 +737,12 @@ def test_case2_interior_positivity_and_boundary_zero():
     sampler = RationalSampler(seed=42, max_numerator=6, max_denominator=3)
     for _ in range(20):
         X = sampler.interior_rank3(F, V)
-        vals = primal_values(X, F)
+        vals = primal_values(X)
         assert all(p.evaluate(vals) > 0 for p in inv.polys)
     # boundary points kill the product of the invariants
     for _ in range(10):
         Xb = sampler.boundary_rank3(F, V)
-        vals = primal_values(Xb, F)
+        vals = primal_values(Xb)
         prod = 1
         for p in inv.polys:
             prod *= p.evaluate(vals)
@@ -739,8 +762,8 @@ def test_relative_invariance_diagonal_example():
     sampler = RationalSampler(seed=43)
     X = sampler.rank3_element(F)
     hx = from_cone_element(rho_act(h, to_cone_element(X, F, V), V), F)
-    base = inv.polys[1].evaluate(primal_values(X, F))
-    acted = inv.polys[1].evaluate(primal_values(hx, F))
+    base = inv.polys[1].evaluate(primal_values(X))
+    acted = inv.polys[1].evaluate(primal_values(hx))
     assert acted == 36 * base
 
 
@@ -881,8 +904,12 @@ def test_classify_realizable_triples_unchanged(triple, case, primal, dual, norma
 
 
 def test_classify_rejections():
-    with pytest.raises(StructureError):
+    # r = s = n is the r = n case of the Hurwitz-Radon bound
+    with pytest.raises(StructureError, match=r"bound rho\(3\) = 1"):
         classify_degrees(3, 3, 3)
+    with pytest.raises(StructureError, match=r"r = 16 exceeds .* rho\(16\) = 9"):
+        classify_degrees(16, 16, 16)
+    assert classify_degrees(8, 8, 8).case == 1
     with pytest.raises(StructureError):
         classify_degrees(2, 5, 4)  # n < s
     with pytest.raises(StructureError, match="Hurwitz-Radon"):
