@@ -335,11 +335,12 @@ def build_parser():
     p = sub.add_parser(
         "member",
         help="cone membership by exact block elimination",
-        description="Decide membership by exact block LDL elimination. A defined "
-        "factorization is its own certificate: the point is rebuilt from the "
-        "unit factor and the pivots and compared exactly, and a mismatch exits 3. "
-        "An \"undefined\" result (a zero pivot under a nonzero column) has no "
-        "factor and so no certificate.",
+        description="Decide membership by exact block LDL elimination. The status "
+        "is positive (a member, exit 0), boundary or indefinite (exit 2). A zero "
+        "pivot over a nonzero column stops the elimination: the point is "
+        "indefinite and the answer has no unit factor. Otherwise the factor is its "
+        "own certificate: the point is rebuilt from the unit factor and the pivots "
+        "and compared exactly, and a mismatch exits 3.",
     )
     p.add_argument("--cone", required=True)
     p.add_argument("--point", required=True)

@@ -316,16 +316,6 @@ def identity_element(V):
     return cone_element(V, (1,) * V.r)
 
 
-def group_identity(V):
-    return group_element(V, (1,) * V.r)
-
-
-def element_is_zero(x):
-    return all(c == 0 for c in x.diag) and all(
-        all(c == 0 for c in coords) for coords in x.off.values()
-    )
-
-
 def block_from_coords(V, k, j, coords):
     """Materialize sum(coords[a] * E_a) as an n_k x n_j matrix."""
     nk, nj = V.partition.size(k), V.partition.size(j)
@@ -508,14 +498,6 @@ def _sparse_blocks(V, coords):
     return out
 
 
-def _solve_block(V, k, j, B):
-    """Coordinates of the row-dict block B in V_kj, or None if outside."""
-    nj = V.partition.size(j)
-    return V.solver(k, j).solve(
-        {u * nj + v: e for u, row in B.items() for v, e in row.items()}
-    )
-
-
 def _lower_coords(V, blocks):
     """Coordinates of the lower row-dict blocks, checked in V.pairs() order.
 
@@ -532,7 +514,10 @@ def _lower_coords(V, blocks):
                     (k, j),
                 )
             continue
-        cs = _solve_block(V, k, j, B)
+        nj = V.partition.size(j)
+        cs = V.solver(k, j).solve(
+            {u * nj + v: e for u, row in B.items() for v, e in row.items()}
+        )
         if cs is None:
             raise NotInSpaceError(
                 "block (%d, %d) is outside its declared span" % (k, j), (k, j)
@@ -754,16 +739,22 @@ def verify_v_conditions(V):
 class LdlResult(Record):
     """Outcome of the square-root-free block decomposition.
 
-    pivots are the scalar block pivots d_1, ..., d_r; unit is the block lower
-    triangular factor with unit diagonal (None when the elimination hit a
-    zero pivot under a nonzero column, status "undefined"). For any defined
-    decomposition embed(x) equals U D tU with D the pivot block diagonal.
+    pivots are the scalar block pivots d_1, ..., d_r, or d_1, ..., d_j when
+    step j met a zero pivot over a nonzero column. status is "positive"
+    (every pivot > 0), "boundary" (every pivot >= 0, one = 0) or
+    "indefinite" (a pivot < 0, or that zero pivot). unit is the block lower
+    triangular factor with unit diagonal, None after that zero pivot; with a
+    unit, embed(x) equals U D tU with D the pivot block diagonal. is_member
+    is derived from status.
     """
 
     pivots: tuple
     unit: GroupElement | None
-    is_member: bool
-    status: str  # positive, boundary, indefinite, undefined
+    status: str  # positive, boundary, indefinite
+
+    @property
+    def is_member(self):
+        return self.status == "positive"
 
 
 def ldl_decompose(x, V):
@@ -772,9 +763,13 @@ def ldl_decompose(x, V):
     At step j the pivot is the current x_jj; the column blocks X_kj give the
     factor column, the remaining blocks pick up -X_kj t(X_j'j) / d_j, and the
     diagonal entries drop by the (V3) scalar of X_kj with itself over d_j.
-    (V1)-(V3) keep every intermediate block inside its declared span, which
-    is what lets the factor be read back in coordinates at the end. Blocks
-    are sparse row-dict blocks (see _kernels); no N x N matrix is built.
+    A zero pivot over a nonzero column ends the elimination as "indefinite":
+    the remaining matrix then has a principal minor [[0, a], [a, x_kk]] of
+    determinant -a^2 < 0, so x has eigenvalues of both signs. (V1)-(V3) keep
+    every intermediate block inside its declared span, which is what lets
+    the factor be read back in coordinates at the end (_lower_coords raises
+    NotInSpaceError at the first block outside). Blocks are sparse row-dict
+    blocks (see _kernels); no N x N matrix is built.
     """
     sizes = V.partition.sizes
     r = V.r
@@ -793,12 +788,7 @@ def ldl_decompose(x, V):
                 col.append((k, X, kernels.block_transpose(X)))
         if d == 0:
             if col:
-                return LdlResult(
-                    pivots=tuple(pivots),
-                    unit=None,
-                    is_member=False,
-                    status="undefined",
-                )
+                return LdlResult(pivots=tuple(pivots), unit=None, status="indefinite")
             continue
         inv = linalg.exact_inv(d)
         for idx, (k, X, XT) in enumerate(col):
@@ -823,22 +813,8 @@ def ldl_decompose(x, V):
         status = "boundary"
     else:
         status = "indefinite"
-    lower = {}
-    for (k, j), L in unit_cols.items():
-        coords = _solve_block(V, k, j, L)
-        if coords is None:
-            raise NotInSpaceError(
-                "elimination block (%d, %d) left its declared span" % (k, j),
-                (k, j),
-            )
-        lower[(k, j)] = tuple(coords)
-    unit = group_element(V, (1,) * r, lower)
-    return LdlResult(
-        pivots=tuple(pivots),
-        unit=unit,
-        is_member=status == "positive",
-        status=status,
-    )
+    unit = GroupElement(diag=(1,) * r, lower=_lower_coords(V, unit_cols))
+    return LdlResult(pivots=tuple(pivots), unit=unit, status=status)
 
 
 def is_member(x, V):

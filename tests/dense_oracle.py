@@ -383,9 +383,7 @@ def dense_ldl_decompose(x, V):
                 col.append((k, X))
         if d == 0:
             if col:
-                return LdlResult(
-                    pivots=tuple(pivots), unit=None, is_member=False, status="undefined"
-                )
+                return LdlResult(pivots=tuple(pivots), unit=None, status="indefinite")
             continue
         inv = exact_inv(d)
         for k, X in col:
@@ -429,6 +427,5 @@ def dense_ldl_decompose(x, V):
     return LdlResult(
         pivots=tuple(pivots),
         unit=group_element(V, (1,) * r, lower),
-        is_member=status == "positive",
         status=status,
     )

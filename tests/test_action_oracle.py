@@ -2,7 +2,7 @@
 
 rho_act, group_compose and ldl_decompose work on sparse blocks; the dense
 bodies they replaced live in dense_oracle.py. Both must give equal results on
-interior, boundary, indefinite, unconstrained and undefined points, and the
+interior, boundary, indefinite, unconstrained and zero-pivot points, and the
 same exception type, block and message when the action leaves the space.
 rho_act and group_compose scale Fraction inputs to integers and divide once at
 the end; points whose every coordinate is a Fraction exercise that path.
@@ -58,14 +58,14 @@ def _points(V, sampler):
     pivots = [sampler.positive_rational() for _ in range(V.r)]
     pivots[-1] = -pivots[-1]
     indefinite = rho_act(sampler.group_element(V, unit=True), cone_element(V, pivots), V)
-    undefined = sampler.cone_element(V)
-    undefined = cone_element(V, (0,) + undefined.diag[1:], undefined.off)
+    zero_pivot = sampler.cone_element(V)
+    zero_pivot = cone_element(V, (0,) + zero_pivot.diag[1:], zero_pivot.off)
     return [
         ("interior", sampler.interior_element(V)),
         ("boundary", sampler.boundary_element(V, zeros=1)),
         ("indefinite", indefinite),
         ("unconstrained", sampler.cone_element(V)),
-        ("undefined", undefined),
+        ("zero pivot", zero_pivot),
     ]
 
 
@@ -89,7 +89,7 @@ def test_blockwise_matches_dense_oracle(name):
         statuses.add(res.status)
         h2 = sampler.group_element(V)
         assert group_compose(h, h2, V) == dense_group_compose(h, h2, V)
-    assert statuses == {"positive", "boundary", "indefinite", "undefined"}
+    assert statuses == {"positive", "boundary", "indefinite"}
 
 
 def test_closure_violation_matches_dense_oracle():

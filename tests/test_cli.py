@@ -6,10 +6,12 @@ import sys
 import pytest
 
 import conelab
-from conelab import cli, core, doubling, serialize
+from conelab import cli, core, doubling, rank3, serialize
 from conelab.core import BlockPartition, LdlResult, VCollection, group_element
 from conelab.doubling import iterate_construction
 from conelab.rank3 import bundled_family_3_5_7
+from conelab.sampling import RationalSampler
+from tests.dense_oracle import dense_ldl_decompose
 
 
 def run(capsys, *argv):
@@ -157,7 +159,6 @@ def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
         return LdlResult(
             pivots=res.pivots,
             unit=unit,
-            is_member=res.is_member,
             status=res.status,
         )
 
@@ -166,6 +167,78 @@ def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "rebuild" in err
     assert "Traceback" not in err
+
+
+def _zero_pivot_point(name):
+    """A point whose first pivot is 0 over a nonzero column, with its cone."""
+    if name == "omega2":
+        V = VCollection(BlockPartition((2, 1)), {(2, 1): [[[1, 0]], [[0, 1]]]})
+        return V, core.cone_element(V, (0, 1), {(2, 1): (1, 0)})
+    if name == "doubled-7":
+        V = iterate_construction(7)
+    else:
+        V = rank3.build_rank3_cone(rank3.composition_family(8, 16))
+    x = RationalSampler(seed=18).interior_element(V)
+    return V, core.cone_element(V, (0,) + x.diag[1:], x.off)
+
+
+@pytest.mark.parametrize("name", ["omega2", "doubled-7", "8_16"])
+def test_member_zero_pivot_over_nonzero_column_is_indefinite(capsys, tmp_path, name):
+    # the minor [[0, a], [a, x_kk]] has determinant -a^2 < 0: both signs
+    V, x = _zero_pivot_point(name)
+    assert any(any(x.off.get((k, 1), ())) for k in range(2, V.r + 1))
+    res = core.ldl_decompose(x, V)
+    assert (res.status, res.unit, res.pivots) == ("indefinite", None, (0,))
+    assert res == dense_ldl_decompose(x, V)
+    cone, point = tmp_path / "cone.json", tmp_path / "point.json"
+    serialize.dump_file(str(cone), serialize.realization_to_dict(V))
+    serialize.dump_file(str(point), serialize.element_to_dict(x))
+    code, out, err = run(capsys, "member", "--cone", str(cone), "--point", str(point))
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"member": False, "pivots": ["0"], "status": "indefinite"}
+
+
+def test_member_v2_failure_names_the_block(capsys, tmp_path):
+    # V_32 = 0, but eliminating x_21 = x_31 = 1/2 leaves -1/4 in block (3, 2)
+    cone, point = tmp_path / "cone.json", tmp_path / "point.json"
+    cone.write_text(
+        json.dumps(
+            {
+                "partition": [1, 1, 1],
+                "spaces": [
+                    {"k": 2, "j": 1, "basis": [["1"]]},
+                    {"k": 3, "j": 1, "basis": [["1"]]},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    point.write_text(
+        json.dumps(
+            {
+                "diag": [1, 1, 1],
+                "off": [
+                    {"k": 2, "j": 1, "coords": ["1/2"]},
+                    {"k": 3, "j": 1, "coords": ["1/2"]},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "member", "--cone", str(cone), "--point", str(point))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: block (3, 2) must vanish (zero-dimensional space) (block (3, 2))\n"
+    )
+
+
+@pytest.mark.parametrize("value", [True, -1, 2.0, "2"])
+def test_sigma_dims_bad_value_exit_1(capsys, tmp_path, value):
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"r": 2, "dims": {"d21": value}}), encoding="utf-8")
+    code, out, err = run(capsys, "sigma", "--dims", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "d_21 must be a nonnegative integer" in err
 
 
 def test_verify_pass_and_fail(capsys, tmp_path):

@@ -16,12 +16,10 @@ from conelab.core import (
     BlockPartition,
     VCollection,
     cone_element,
-    element_is_zero,
     embed,
     embed_group,
     group_compose,
     group_element,
-    group_identity,
     identity_element,
     inner_product_V,
     is_member,
@@ -107,10 +105,9 @@ def test_group_element_rejects_zero_diag(omega2):
 def test_identity_and_zero(omega2):
     e = identity_element(omega2)
     assert e.diag == (1, 1) and not any(e.off[(2, 1)])
-    assert element_is_zero(cone_element(omega2, (0, 0)))
-    assert not element_is_zero(e)
-    h = group_identity(omega2)
-    assert h.diag == (1, 1)
+    assert e != cone_element(omega2, (0, 0))
+    h = group_element(omega2, (1, 1))
+    assert h.diag == (1, 1) and not any(h.lower[(2, 1)])
 
 
 def test_embed_omega2_example(omega2):
@@ -152,7 +149,7 @@ def test_group_round_trip(omega2, omega3):
 
 
 def test_project_group_rejects_upper_entries(omega2):
-    M = embed_group(group_identity(omega2), omega2)
+    M = embed_group(group_element(omega2, (1, 1)), omega2)
     M[0][2] = 1
     with pytest.raises(StructureError, match="lower"):
         project_group(M, omega2)
@@ -459,10 +456,12 @@ def test_ldl_boundary(omega2):
     assert res.pivots == (1, 0)
 
 
-def test_ldl_undefined(omega2):
+def test_ldl_zero_pivot_over_nonzero_column_is_indefinite(omega2):
+    # [[0, 0, 1], [0, 0, 0], [1, 0, 1]] has the minor [[0, 1], [1, 1]] of
+    # determinant -1: eigenvalues of both signs, and no factor
     x = cone_element(omega2, (0, 1), {(2, 1): (1, 0)})
     res = ldl_decompose(x, omega2)
-    assert res.status == "undefined"
+    assert res.status == "indefinite"
     assert res.unit is None
     assert res.pivots == (0,)
     assert not res.is_member
@@ -517,7 +516,7 @@ def test_interior_sampler_members(omega2, omega3):
 
 def test_boundary_sampler(omega3):
     # a zero pivot inside the elimination leaves blocks that cancel exactly;
-    # they must not make the point read "undefined"
+    # they must not read as a nonzero column under that pivot
     from conelab.doubling import iterate_construction
 
     sampler = RationalSampler(seed=12)
@@ -526,7 +525,7 @@ def test_boundary_sampler(omega3):
             x = sampler.boundary_element(V, zeros=1)
             res = ldl_decompose(x, V)
             assert res.status == "boundary"
-            assert not element_is_zero(x)
+            assert x != cone_element(V, (0,) * V.r)
             assert _rebuild(res, V) == embed(x, V)
 
 

@@ -31,7 +31,7 @@ REPORTS = [
     CouplingDecomposition(True, 1, 1, True, True),
     InvariantList("primal", (), ()),
     Classification(1, (1, 2, 3), (3, 2, 1), (1, 1, 1), (1, 1, 1), False),
-    LdlResult((1,), None, False, "undefined"),
+    LdlResult((1,), None, "indefinite"),
 ]
 
 
@@ -50,6 +50,14 @@ def test_fields_defaults_and_keywords():
         ConditionReport(True, passed=False)
     with pytest.raises(TypeError):
         ConditionReport(True, witness=None)
+
+
+def test_ldl_membership_is_derived_from_status():
+    assert LdlResult._fields == ("pivots", "unit", "status")
+    for status, member in (("positive", True), ("boundary", False), ("indefinite", False)):
+        assert LdlResult((1,), None, status).is_member is member
+    with pytest.raises(AttributeError):
+        LdlResult((1,), None, "positive").is_member = False
 
 
 def test_post_init_runs():

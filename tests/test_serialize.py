@@ -97,8 +97,10 @@ def test_element_round_trip(omega2):
 
 def test_group_round_trip(omega2):
     h = group_element(omega2, (2, Fraction(-1, 3)), {(2, 1): (0, 7)})
-    d = serialize.group_to_dict(h)
-    assert serialize.group_from_dict(d, omega2) == h
+    assert serialize.group_to_dict(h) == {
+        "diag": ["2", "-1/3"],
+        "lower": [{"k": 2, "j": 1, "coords": ["0", "7"]}],
+    }
 
 
 def test_family_round_trip(fixture_family):
