@@ -13,6 +13,9 @@ only the pairs of basis elements whose product is nonzero, and decide each
 product in the loop that formed it: span_violation tests (V1)/(V2)
 membership against a span's reduced rows, gram_violation tests (V3)
 scalarity and collects the Gram rows. Either returns the first failing pair.
+frame sums tX·X/g over the basis of a space, and frame_trace pairs two such
+sums: the trace identity that decides (V2) on a triple without forming a
+product (see core.verify_v_conditions).
 
 A span is a list of mutually reduced (Gauss-Jordan) sparse rows: each row is
 zero at every other row's pivot. reduce_and_collect eliminates a vector
@@ -25,6 +28,7 @@ behind; block_strip removes them, after which every stored value is nonzero.
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 def dot(u, v):
@@ -318,6 +322,54 @@ def gram_violation(elements, index, n):
                     return G, (a, b)
                 G[a][b] = G[b][a] = c
     return G, None
+
+
+def frame(elements, gram, n):
+    """The symmetric n x n matrix sum_c tX_c·X_c / g_c, or None.
+
+    elements are sparse matrices X_c with n columns and gram their Gram
+    rows as gram_violation returns them; None unless every row c is
+    {c: g_c}. Returns (diag, off): diag the list of the n diagonal entries,
+    off a dict {(v, w): value} of the nonzero entries with v != w, both
+    triangles stored. Row u of X_c adds X_c[u][v]·X_c[u][w] / g_c at
+    (v, w): each entry adds to the diagonal, and pairs of entries in one
+    row add off it, so the work is the sum of the squared row lengths.
+    """
+    diag = [0] * n
+    off = {}
+    for c, E in enumerate(elements):
+        row = gram[c]
+        g = row.get(c)
+        if g is None or len(row) != 1:
+            return None
+        inv = 1 if g == 1 else 1 / Fraction(g)
+        last = None
+        for u, v, e in E:
+            s = e if inv == 1 else e * inv
+            if u != last:
+                # row-major order: the entries of one row are consecutive
+                last, earlier = u, []
+            else:
+                for w, f in earlier:
+                    x = s * f
+                    off[(v, w)] = off.get((v, w), 0) + x
+                    off[(w, v)] = off.get((w, v), 0) + x
+            earlier.append((v, e))
+            diag[v] += s * e
+    return diag, {key: x for key, x in off.items() if x}
+
+
+def frame_trace(P, Q):
+    """tr(P·Q) of two frames of one size, as frame returns them."""
+    (p_diag, p_off), (q_diag, q_off) = P, Q
+    acc = sum(map(mul, p_diag, q_diag))
+    get = q_off.get
+    for key, x in p_off.items():
+        y = get(key)
+        if y:
+            # Q is symmetric: Q[w][v] == Q[v][w]
+            acc += x * y
+    return acc
 
 
 def reduce_and_collect(v, rows, pivots, piv_invs):

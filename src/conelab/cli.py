@@ -82,6 +82,11 @@ MAX_FAMILY_N = 256
 # rank3 duality runs in time linear in --samples: one sample took 0.03 s on
 # family (8,16) and 0.17 s on (9,64), so 200 samples take 6 s and 34 s.
 MAX_DUALITY_SAMPLES = 200
+# iterate, double and rank3 build write every basis entry, zeros included:
+# `iterate --rank 10` writes 3029220 entries (45 MB) at a peak RSS of
+# 171 MB (measured with wait4, Python 3.11), so this bound keeps the peak
+# near 230 MB; rank 11 has 13514980 entries and is refused.
+MAX_DENSE_ENTRIES = 4_000_000
 
 
 def _over_limit(flag, value, limit):
@@ -90,6 +95,13 @@ def _over_limit(flag, value, limit):
         return False
     print("error: %s %d exceeds the limit of %d" % (flag, value, limit), file=sys.stderr)
     return True
+
+
+def _over_dense_limit(V):
+    """_over_limit for the dense entry count of a realization's JSON."""
+    size = V.partition.size
+    count = sum(V.dim(k, j) * size(k) * size(j) for k, j in V.spaces())
+    return _over_limit("dense entry count", count, MAX_DENSE_ENTRIES)
 
 
 def _extremal_dims(r):
@@ -107,6 +119,12 @@ def cmd_sigma(args):
     else:
         table = _load(args.dims, serialize.dims_from_dict, "dims")
     sigma = degrees_mod.sigma_from_dims(table)
+    if r is None:
+        from conelab import rank3
+
+        refusal = rank3.dims_refusal(table)
+        if refusal is not None:
+            raise InconsistentDimsError(refusal)
     _emit(serialize.sigma_to_dict(sigma))
     return EXIT_OK
 
@@ -150,12 +168,17 @@ def cmd_double(args):
     V = _load_realization(args.infile)
     from conelab.doubling import double
 
-    _emit(serialize.realization_to_dict(double(V)), args.out)
+    W = double(V)
+    if _over_dense_limit(W):
+        return EXIT_INPUT
+    _emit(serialize.realization_to_dict(W), args.out)
     return EXIT_OK
 
 
 def cmd_iterate(args):
     V = _verified_construction(args.rank)
+    if _over_dense_limit(V):
+        return EXIT_INPUT
     _emit(serialize.realization_to_dict(V), args.out)
     return EXIT_OK
 
@@ -221,7 +244,10 @@ def cmd_rank3_build(args):
 
     F = _load_family(args.family)
     build = rank3.build_rank3_dual if args.dual else rank3.build_rank3_cone
-    _emit(serialize.realization_to_dict(build(F)), args.out)
+    V = build(F)
+    if _over_dense_limit(V):
+        return EXIT_INPUT
+    _emit(serialize.realization_to_dict(V), args.out)
     return EXIT_OK
 
 

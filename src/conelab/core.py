@@ -164,6 +164,7 @@ class VCollection:
         self._indexes = {}
         self._solvers = {}
         self._grams = {}
+        self._frames = {}
 
     @property
     def r(self):
@@ -239,6 +240,25 @@ class VCollection:
                 "basis elements %d and %d is not scalar" % (k, j, *bad)
             )
         return self._grams[(k, j)]
+
+    def frame(self, k, j):
+        """The frame sum_c tX_c X_c / g_c of V_kj, or None.
+
+        g_c is the (V3) scalar of basis element X_c (X_c tX_c = g_c I), and
+        the frame exists only when (V3) holds on V_kj with a diagonal Gram
+        matrix. It is the n_j x n_j matrix of _kernels.frame, built on first
+        use; verify_v_conditions decides (V2) by the trace of two frames.
+        """
+        key = (k, j)
+        if key not in self._frames:
+            self._frames[key] = (
+                None
+                if self.v3_violation(k, j) is not None
+                else kernels.frame(
+                    self.entries(k, j), self._grams[key], self.partition.size(j)
+                )
+            )
+        return self._frames[key]
 
     def is_orthonormal(self):
         for k, j in self.spaces():
@@ -675,7 +695,24 @@ class VerificationReport(Record):
     orthonormal: bool
 
 
-def _product_condition(V, transposed):
+def _v2_excess(V, i, j, k):
+    """tr(Q_ji Q_ki) - n_k d_kj d_ji for the frames of V_ji and V_ki, or None.
+
+    None when either space has no frame. The excess is a sum of squares
+    (see verify_v_conditions), so a negative one raises RuntimeError.
+    """
+    P, Q = V.frame(j, i), V.frame(k, i)
+    if P is None or Q is None:
+        return None
+    excess = kernels.frame_trace(P, Q) - V.partition.size(k) * V.dim(k, j) * V.dim(j, i)
+    if excess < 0:
+        raise RuntimeError(
+            "(V2) trace identity on (%d, %d, %d) falls below n_k d_kj d_ji" % (i, j, k)
+        )
+    return excess
+
+
+def _product_condition(V, transposed, by_trace=False):
     """(V1) on basis elements, or (V2) when transposed.
 
     For i < j < k, (V1) needs X_kj * X_ji in V_ki and (V2) needs
@@ -685,6 +722,10 @@ def _product_condition(V, transposed):
     order; a zero product lies in every span, so the first failing nonzero
     product is the first failing pair. The counterexample is (i, j, k, a, b)
     with a and b the 1-indexed basis elements of the left and right factor.
+    by_trace (for (V2), once (V1) has passed) first decides each triple by
+    the trace identity of verify_v_conditions where V_ji and V_ki have
+    frames; the kernel then runs only where it fails, to name the pair, and
+    a kernel that finds none raises RuntimeError.
     """
     # looked up per call, so a wrapper installed on the kernels module is seen
     violation = kernels.span_violation
@@ -695,12 +736,20 @@ def _product_condition(V, transposed):
                 basis_left = V.entries(*left)
                 if not basis_left or not V.dim(j, i):
                     continue
+                excess = _v2_excess(V, i, j, k) if by_trace else None
+                if excess == 0:
+                    continue
                 S = V.solver(*target)  # no rows when zero-dimensional
                 right = V._index(j, i, by_row=not transposed)
                 width = V.partition.size(target[1])
                 _, bad = violation(basis_left, right, width, S.rows, S.pivots, S.piv_invs)
                 if bad is not None:
                     return ConditionReport(False, (i, j, k, bad[0] + 1, bad[1] + 1))
+                if excess is not None:
+                    raise RuntimeError(
+                        "(V2) trace identity on (%d, %d, %d) fails but every "
+                        "product lies in V_%d%d" % (i, j, k, k, j)
+                    )
     return ConditionReport(True)
 
 
@@ -711,6 +760,24 @@ def verify_v_conditions(V):
     genuine condition failures come back in the report, with the first
     counterexample per condition. The orthonormal flag is informational and
     not part of the conditions.
+
+    Once (V1) has passed, (V2) on a triple i < j < k is decided without
+    forming a product whenever V_ji and V_ki have frames Q = sum_c tX_c X_c
+    / g_c, that is, (V3) holds on them with a diagonal Gram matrix (see
+    VCollection.frame): (V2) holds there iff tr(Q_ji Q_ki) = n_k d_kj d_ji.
+    With <X, Y> = tr(X tY), each basis element B of V_ji has B tB = g_B I,
+    so A -> AB maps V_kj into V_ki by (V1) with <AB, A'B> = g_B <A, A'>,
+    an injective map scaled from an isometry. For C = AB in its image,
+    C tB = g_B A lies in V_kj; for C orthogonal to its image, <C tB, A> =
+    <C, AB> = 0, so C tB is orthogonal to V_kj and lies in it only if it
+    is 0. With V_ki's basis C_c orthogonal and <C_c, C_c> = n_k g_c,
+    tr(Q_ji Q_ki) = sum_{b,c} |C_c tB_b|^2 / (g_b g_c), and the sum over c
+    for one B_b is n_k times |C -> C tB_b|^2 over an orthonormal basis of
+    V_ki: n_k d_kj g_b from the image plus a sum of squares from its
+    complement. So the trace is n_k d_kj d_ji plus a sum of squares that
+    vanishes exactly when (V2) holds on the triple. The span_violation
+    kernel decides every other triple, and names the first failing pair of
+    a triple where the identity fails.
     """
     for key in V.spaces():
         V.solver(*key)
@@ -723,7 +790,7 @@ def verify_v_conditions(V):
             break
 
     v1 = _product_condition(V, transposed=False)
-    v2 = _product_condition(V, transposed=True)
+    v2 = _product_condition(V, transposed=True, by_trace=v1.passed)
     orthonormal = v3.passed and V.is_orthonormal()
     passed = v1.passed and v2.passed and v3.passed
     return VerificationReport(

@@ -98,9 +98,10 @@ def iterate_construction(r):
     (see _double_unchecked), so building rank 7 takes about 0.3 ms and rank
     10 about 2 ms. The default cap of 13 is set by the dense JSON that
     `conelab iterate` and `double` write, which grows 4x per rank, not by
-    verification (`conelab theorem --rank 13` took 0.95 s and rank 14 2.32 s
-    as cold calls on a 2-vCPU VM with Python 3.11, about 2.4x per rank; see
-    BENCH_15.json). The CONELAB_RANK_CAP variable lifts the cap.
+    verification (`conelab theorem --rank 12`, 13 and 14 took 0.31, 0.50
+    and 1.07 s as cold calls on a 2-vCPU VM with Python 3.11, 1.6-2.1x per
+    rank; medians of 3, see BENCH_19.json). The CONELAB_RANK_CAP variable
+    lifts the cap.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("rank must be a positive integer")

@@ -208,23 +208,24 @@ def _unit_family(m):
     return out
 
 
-def _check_hurwitz_radon(r, n):
-    """Refuses r > rho(n): no family of r square n x n matrices exists.
+def _hurwitz_radon_refusal(r, n):
+    """Why no family of r square n x n matrices exists (r > rho(n)), or None.
 
     For r = n this leaves exactly n in {1, 2, 4, 8} (Hurwitz-Radon).
     """
     rho = hurwitz_radon_number(n)
     if r > rho:
-        raise StructureError(
-            "r = %d exceeds the Hurwitz-Radon bound rho(%d) = %d" % (r, n, rho)
-        )
+        return "r = %d exceeds the Hurwitz-Radon bound rho(%d) = %d" % (r, n, rho)
+    return None
 
 
 def composition_family(r, n):
     """A square family (s = n) with A_1 = I and entries in {-1, 0, 1}."""
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("r must be a positive integer")
-    _check_hurwitz_radon(r, n)
+    reason = _hurwitz_radon_refusal(r, n)
+    if reason is not None:
+        raise StructureError(reason)
     m = (n & -n).bit_length() - 1
     odd = n >> m
     base = _unit_family(m)[:r]
@@ -844,13 +845,88 @@ _PUBLISHED = {
 }
 
 
+def _first_odd_binomial(n, lo, hi):
+    """The least k with lo <= k < hi and C(n, k) odd, or None.
+
+    By Lucas' theorem C(n, k) is odd exactly when k & ~n == 0. The least
+    such k above lo is lo itself, or else lo's bits above some bit p that n
+    has and lo lacks, plus p, with p as low as allows lo's bits above it to
+    be n's. A bit p at or above hi's length gives a k >= hi, so the search
+    takes O(bit length of hi) steps and forms no binomial.
+    """
+    if lo >= hi:
+        return None
+    k = lo
+    if k & ~n:
+        k = None
+        for p in range(min(n.bit_length(), hi.bit_length())):
+            bit = 1 << p
+            if n & bit and not lo & bit:
+                high = lo >> (p + 1) << (p + 1)
+                if not high & ~n:
+                    k = high | bit
+                    break
+    return k if k is not None and k < hi else None
+
+
+def shape_refusal(r, s, n):
+    """Why no nonsingular bilinear map R^r x R^s -> R^n exists, or None.
+
+    Takes 0 <= r <= s and s, n >= 1. A composition family of shape
+    (r, s, n) is such a map, (x, y) -> L(x) y, and so is the (V1) product of
+    a realization (see dims_refusal). The certificates: n < s; for s = n, r
+    beyond the Hurwitz-Radon bound rho(n); for s < n, an odd C(n, k) with
+    n - s < k < r (Hopf-Stiefel), naming the first such k, and its value
+    while n <= 64, where it stays below 2^64.
+    """
+    if n < s:
+        return "n = %d is below max(r, s) = %d" % (n, s)
+    if r == 0:
+        return None
+    if s == n:
+        return _hurwitz_radon_refusal(r, n)
+    k = _first_odd_binomial(n, n - s + 1, r)
+    if k is None:
+        return None
+    value = " = %d" % comb(n, k) if n <= 64 else ""
+    return "C(%d, %d)%s is odd (Hopf-Stiefel)" % (n, k, value)
+
+
+def dims_refusal(table):
+    """The first triple i < j < k whose (V1) product refutes a dim table.
+
+    In a realization every B in V_ji has B tB = <B, B> I by (V3), so
+    |AB|^2 = <B, B> tr(A tA) for A in V_kj: (A, B) -> AB is a nonsingular
+    bilinear map R^d_kj x R^d_ji -> R^d_ki by (V1), and shape_refusal
+    applies to (min, max, d_ki) of its dimensions when d_kj and d_ji are
+    positive. Returns the message naming (i, j, k) and the certificate, or
+    None; triples go in (k, j, i) order as in verify_v_conditions.
+    """
+    for k in range(3, table.r + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                a, b, c = table.d(k, j), table.d(j, i), table.d(k, i)
+                if not (a and b):
+                    continue
+                reason = shape_refusal(min(a, b), max(a, b), c)
+                if reason is not None:
+                    return (
+                        "no realization has this dimension table: at (i, j, k) = "
+                        "(%d, %d, %d), (V1) makes V_%d%d x V_%d%d -> V_%d%d a "
+                        "nonsingular bilinear map R^%d x R^%d -> R^%d, and %s"
+                        % (i, j, k, k, j, j, i, k, i, a, b, c, reason)
+                    )
+    return None
+
+
 def classify_degrees(r, s, n):
     """The four-case degree table, cross-checked against the sigma algorithm.
 
     Input is normalized to r <= s by swapping (the swap dualizes, so degrees
-    are reported for the normalized triple). Rejects non-realizable shapes:
-    s = n with r beyond rho(n), which for r = n leaves n in {1, 2, 4, 8},
-    and s < n with an odd C(n, k), n - s < k < r (naming the first such k).
+    are reported for the normalized triple). Rejects non-realizable shapes
+    by shape_refusal: n < s, s = n with r beyond rho(n), which for r = n
+    leaves n in {1, 2, 4, 8}, and s < n with an odd C(n, k), n - s < k < r
+    (naming the first such k).
     """
     for name, v in (("r", r), ("s", s), ("n", n)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -861,22 +937,16 @@ def classify_degrees(r, s, n):
         r, s = s, r
     if s < 1 or n < 1:
         raise StructureError("s and n must be at least 1")
-    if n < s:
-        raise StructureError("n must be at least max(r, s)")
+    reason = shape_refusal(r, s, n)
+    if reason is not None:
+        raise StructureError(
+            "no composition family of shape (%d, %d, %d): %s" % (r, s, n, reason)
+        )
     if r == 0:
         case = 4
     elif s == n:
-        _check_hurwitz_radon(r, n)
         case = 1 if r == n else 2
     else:
-        # Hopf-Stiefel: a family is a nonsingular bilinear map R^r x R^s ->
-        # R^n, which needs C(n, k) even for n - s < k < r
-        k = next((k for k in range(n - s + 1, r) if comb(n, k) % 2), None)
-        if k is not None:
-            raise StructureError(
-                "no composition family of shape (%d, %d, %d) (Hopf-Stiefel):"
-                " C(%d, %d) = %d is odd" % (r, s, n, n, k, comb(n, k))
-            )
         case = 3
     primal, dual = _PUBLISHED[case]
     derived_primal = degrees_from_sigma(

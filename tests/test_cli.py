@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import conelab
 from conelab import cli, core, doubling, rank3, serialize
 from conelab.core import BlockPartition, LdlResult, VCollection, group_element
+from conelab.degrees import sigma_from_dims
 from conelab.doubling import iterate_construction
 from conelab.rank3 import bundled_family_3_5_7
 from conelab.sampling import RationalSampler
@@ -656,3 +658,63 @@ def test_member_memory_does_not_grow_with_block_size(tmp_path):
     assert code == code_1 == 0 and out == out_1
     assert json.loads(out)["member"] is True
     assert peak < 50
+
+
+@pytest.mark.parametrize(
+    "triple, code",
+    [(("16385", "16385", "24576"), 2), (("16383", "16383", "16384"), 0)],
+    ids=["refused", "accepted"],
+)
+def test_rank3_classify_large_triples_finish(capsys, triple, code):
+    # the first odd C(n, k) is found from the bits of n (Lucas), and a
+    # binomial past the int/str digit limit is not printed
+    start = time.perf_counter()
+    got, _, err = run(capsys, "rank3", "classify", "--triple", *triple)
+    assert time.perf_counter() - start < 1
+    assert got == code
+    child = run_child("rank3", "classify", "--triple", *triple)
+    assert child.returncode == code and "Traceback" not in child.stderr
+    if code:
+        assert "C(24576, 8192) is odd" in child.stderr and child.stdout == ""
+
+
+def test_sigma_dims_refuted_by_v1_product(capsys, tmp_path):
+    # d_32 = 2 and d_43 = 1 would make V_43 x V_32 -> V_42 a nonsingular
+    # bilinear map R^1 x R^2 -> R^1; the layering alone accepts the table
+    dims = {"d21": 0, "d31": 0, "d41": 0, "d32": 2, "d42": 1, "d43": 1}
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"r": 4, "dims": dims}), encoding="utf-8")
+    table = serialize.dims_from_dict(json.loads(path.read_text()))
+    assert sigma_from_dims(table).rows
+    code, out, err = run(capsys, "sigma", "--dims", str(path))
+    assert (code, out) == (2, "")
+    assert "(i, j, k) = (2, 3, 4)" in err
+    assert "R^1 x R^2 -> R^1" in err and "n = 1 is below max(r, s) = 2" in err
+
+
+def test_dense_writers_refuse_over_the_entry_limit(capsys, monkeypatch, tmp_path):
+    # iterate, double and rank3 build count the dense entries before they
+    # build any JSON; rank 3 has 4*2*2 + 4*4*1 + 2*2*1 = 36
+    _, cone = write_omega2(tmp_path)
+    _, fam = write_family(tmp_path)
+    monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 35)
+    monkeypatch.setattr(
+        serialize, "realization_to_dict", lambda V: pytest.fail("JSON was built")
+    )
+    out_path = tmp_path / "out.json"
+    for argv in (
+        ("iterate", "--rank", "3"),
+        ("double", "--in", cone),
+        ("rank3", "build", "--family", fam),
+        ("rank3", "build", "--family", fam, "--dual"),
+    ):
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert "exceeds the limit of 35" in err
+        assert not out_path.exists()
+
+
+def test_iterate_rank_11_refused_at_a_small_peak():
+    code, out, peak = run_child_peak("iterate", "--rank", "11")
+    assert (code, out) == (1, "")
+    assert peak < 80

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conelab import _kernels, linalg
+from conelab import _kernels, core, linalg
 from conelab.core import (
     BlockPartition,
     VCollection,
@@ -342,38 +342,44 @@ def _counting_decisions(monkeypatch):
 
 
 def _nonzero_products(V):
-    """Nonzero (V1) plus (V2) basis products, by naive all-pairs products."""
+    """Nonzero (V1) and (V2) basis products, by naive all-pairs products."""
     from conelab._kernels import mat_mul, mat_mul_t
 
-    count = 0
+    counts = {"v1": 0, "v2": 0}
     for k in range(3, V.r + 1):
         for j in range(2, k):
             for i in range(1, j):
-                for left, mul in (((k, j), mat_mul), ((k, i), mat_mul_t)):
+                conditions = (("v1", (k, j), mat_mul), ("v2", (k, i), mat_mul_t))
+                for cond, left, mul in conditions:
                     for E in dense_basis(V, *left):
                         for F in dense_basis(V, j, i):
-                            count += any(any(row) for row in mul(E, F))
-    return count
+                            counts[cond] += any(any(row) for row in mul(E, F))
+    return counts
 
 
 @pytest.mark.parametrize("rank, nonzero", [(5, 184), (7, 1608)])
 def test_verify_span_queries_follow_nonzero_products(monkeypatch, rank, nonzero):
-    # only nonzero (V1)/(V2) products are decided against a span; at rank 7
-    # the basis pairs number 7596
+    # of the nonzero (V1)/(V2) products only the (V1) ones are decided
+    # against a span: (V2) passes by its trace identity; at rank 7 the basis
+    # pairs number 7596
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(rank)
-    assert _nonzero_products(V) == nonzero
+    counts = _nonzero_products(V)
+    assert counts["v1"] + counts["v2"] == nonzero
     decided = _counting_decisions(monkeypatch)
     assert verify_v_conditions(V).passed
-    assert sum(decided) == nonzero
+    assert sum(decided) == counts["v1"]
 
 
 @pytest.mark.parametrize(
-    "r, queries", [(2, 0), (3, 8), (4, 48), (5, 184), (6, 576), (7, 1608), (8, 4176)]
+    "r, products", [(2, 0), (3, 8), (4, 48), (5, 184), (6, 576), (7, 1608), (8, 4176)]
 )
-def test_verify_query_and_solver_counts(monkeypatch, r, queries):
-    # one span decision per nonzero (V1)/(V2) product, one solver per space
+def test_verify_query_and_solver_counts(monkeypatch, r, products):
+    # products counts the nonzero (V1) and (V2) basis products, equally many
+    # in the doubled family (see the test above); one span decision per
+    # nonzero (V1) product (4, 24, 92, 288, 804, 2088 for r = 3..8), one
+    # kernel call per triple and none for (V2), one solver per space
     from conelab.doubling import iterate_construction
 
     counts = {"init": 0}
@@ -387,7 +393,8 @@ def test_verify_query_and_solver_counts(monkeypatch, r, queries):
     decided = _counting_decisions(monkeypatch)
     assert verify_v_conditions(iterate_construction(r)).passed
     assert counts == {"init": r * (r - 1) // 2}
-    assert sum(decided) == queries
+    assert len(decided) == r * (r - 1) * (r - 2) // 6
+    assert 2 * sum(decided) == products
 
 
 def test_verify_reports_first_failing_pair_in_order():
@@ -419,6 +426,147 @@ def test_verify_skewed_basis_passes_but_not_orthonormal():
     report = verify_v_conditions(V)
     assert report.passed
     assert not report.orthonormal
+
+
+def _triple_holds(V, i, j, k, transposed):
+    """The span_violation verdict of (V1), or of (V2) when transposed, on one
+    triple, as _product_condition runs it."""
+    left, target = ((k, i), (k, j)) if transposed else ((k, j), (k, i))
+    S = V.solver(*target)
+    right = V._index(j, i, by_row=not transposed)
+    width = V.partition.size(target[1])
+    _, bad = _kernels.span_violation(
+        V.entries(*left), right, width, S.rows, S.pivots, S.piv_invs
+    )
+    return bad is None
+
+
+def _identity_verdicts(V):
+    """(identity verdict, kernel verdict) of (V2) on every triple with both
+    product spaces V_ki, V_ji nonzero, (V1) holding, and frames on both."""
+    out = []
+    for k in range(3, V.r + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                if not (V.dim(k, i) and V.dim(j, i)):
+                    continue
+                if V.frame(j, i) is None or V.frame(k, i) is None:
+                    continue
+                if not _triple_holds(V, i, j, k, transposed=False):
+                    continue
+                identity = core._v2_excess(V, i, j, k) == 0
+                out.append((identity, _triple_holds(V, i, j, k, transposed=True)))
+    return out
+
+
+def _bases_for_identity():
+    from conelab import rank3
+    from conelab.doubling import iterate_construction
+
+    out = [iterate_construction(r) for r in range(2, 10)]
+    families = [
+        rank3.bundled_family_3_5_7(),
+        rank3.composition_family(8, 16),
+        rank3.composition_family(4, 8),
+        rank3.composition_family(3, 4),
+    ]
+    for F in families:
+        out += [rank3.build_rank3_cone(F), rank3.build_rank3_dual(F)]
+    return out
+
+
+def _variant(V, rng):
+    """V with one to three basis elements dropped or rescaled."""
+    entries = {key: list(V.entries(*key)) for key in V.spaces()}
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice(sorted(entries))
+        elements = entries[key]
+        a = rng.randrange(len(elements))
+        if rng.random() < 0.5:
+            del elements[a]
+            if not elements:
+                del entries[key]
+        else:
+            c = rng.choice([2, -1, 3, Fraction(1, 2), Fraction(-2, 3)])
+            elements[a] = tuple((u, v, c * e) for u, v, e in elements[a])
+    return VCollection.from_entries(V.partition, entries)
+
+
+def test_v2_trace_identity_agrees_with_kernel():
+    # the identity tr(Q_ji Q_ki) = n_k d_kj d_ji decides (V2) on a triple
+    # exactly as the kernel does, wherever (V1) holds there and both spaces
+    # have frames: doubled ranks 2-9, four rank-3 families primal and dual,
+    # seeded variants with dropped and rescaled basis elements
+    rng = random.Random(19)
+    bases = _bases_for_identity()
+    verdicts = []
+    for V in bases:
+        verdicts += _identity_verdicts(V)
+    for V in bases[1:6] + bases[8:]:
+        for _ in range(40):
+            verdicts += _identity_verdicts(_variant(V, rng))
+    assert all(identity == kernel for identity, kernel in verdicts)
+    assert len(verdicts) > 2000
+    assert sum(not kernel for _, kernel in verdicts) > 200
+
+
+def test_v2_trace_identity_fails_where_v1_and_v3_pass():
+    # V_32 = 0 holds (V1) vacuously and (V3) on every space, yet
+    # X_31 t(X_21) = [1] is not in V_32: the trace is 1 against 0, and the
+    # kernel names the pair
+    from tests.dense_oracle import dense_verify
+
+    V = VCollection(BlockPartition((1, 1, 1)), {(2, 1): [[[1]]], (3, 1): [[[1]]]})
+    assert core._v2_excess(V, 1, 2, 3) == 1
+    report = verify_v_conditions(V)
+    assert report.v1.passed and report.v3.passed
+    assert report.v2.counterexample == (1, 2, 3, 1, 1)
+    assert report == dense_verify(V)
+
+
+def test_v2_forms_no_product_on_passing_doubled_realization(monkeypatch):
+    # at rank 7 every kernel call is a (V1) call: 35 triples, 804 decisions
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(7)
+    decided = _counting_decisions(monkeypatch)
+    assert verify_v_conditions(V).passed
+    assert (len(decided), sum(decided)) == (35, 804)
+    v1_calls = len(decided)
+    core._product_condition(V, transposed=False)
+    assert len(decided) == 2 * v1_calls
+
+
+def test_v2_skewed_basis_takes_the_kernel_path(monkeypatch):
+    # the Gram matrix of V_21 is not diagonal, so V_21 has no frame and the
+    # kernel decides (V2) on the one triple
+    V = VCollection(
+        BlockPartition((2, 1, 1)),
+        {
+            (2, 1): [[[1, 1]], [[1, 0]]],
+            (3, 1): [[[1, 0]], [[0, 1]]],
+            (3, 2): [[[1]]],
+        },
+    )
+    decided = _counting_decisions(monkeypatch)
+    report = verify_v_conditions(V)
+    assert report.passed and not report.orthonormal
+    assert V.frame(2, 1) is None and V.frame(3, 1) is not None
+    assert len(decided) == 2
+
+
+def test_v2_identity_that_the_kernel_refutes_is_an_internal_error(monkeypatch):
+    # a trace above n_k d_kj d_ji on a triple the kernel passes, or one below
+    # it, cannot happen; either raises instead of reporting
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(4)
+    monkeypatch.setattr(_kernels, "frame_trace", lambda P, Q: 10**6)
+    with pytest.raises(RuntimeError, match="fails but every product"):
+        verify_v_conditions(V)
+    monkeypatch.setattr(_kernels, "frame_trace", lambda P, Q: -1)
+    with pytest.raises(RuntimeError, match="falls below"):
+        verify_v_conditions(iterate_construction(4))
 
 
 def test_verify_dependent_basis_rejected():

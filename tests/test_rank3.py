@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conelab import cli, linalg, poly
-from conelab.core import embed, is_member, verify_v_conditions
+from conelab.core import VCollection, embed, is_member, verify_v_conditions
 from conelab.degrees import rank3_table, sigma_from_dims
 from conelab.errors import StructureError
 from conelab.rank3 import (
@@ -31,6 +31,7 @@ from conelab.rank3 import (
     coupling,
     coupling_decomposition_check,
     defect_witness,
+    dims_refusal,
     det_rank3_closed,
     det_rank3_dual_closed,
     dual_family,
@@ -46,6 +47,7 @@ from conelab.rank3 import (
     primal_values,
     rank3_element,
     relative_invariance_check,
+    shape_refusal,
     to_cone_element,
     transposed_action_defect,
     verify_composition,
@@ -901,6 +903,57 @@ def test_classify_realizable_triples_unchanged(triple, case, primal, dual, norma
         case=case, primal=primal, dual=dual, triple=triple,
         normalized=normalized, swapped=swapped,
     )
+
+
+def test_shape_refusal_finds_the_first_odd_binomial_by_bits():
+    # Lucas' theorem against the binomials themselves, every triple with
+    # n <= 40; beyond n = 64 the binomial's value is left out
+    for n in range(1, 41):
+        for s in range(1, n):
+            for r in range(1, s + 1):
+                k = _hopf_stiefel_odd_k(r, s, n)
+                reason = shape_refusal(r, s, n)
+                if k is None:
+                    assert reason is None
+                else:
+                    assert reason == "C(%d, %d) = %d is odd (Hopf-Stiefel)" % (
+                        n, k, math.comb(n, k)
+                    )
+    assert shape_refusal(16385, 16385, 24576) == "C(24576, 8192) is odd (Hopf-Stiefel)"
+    assert shape_refusal(16383, 16383, 16384) is None
+
+
+def _dropped(V, rng):
+    """V without one to three of its basis elements, chosen by rng."""
+    entries = {key: list(V.entries(*key)) for key in V.spaces()}
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice(sorted(entries))
+        del entries[key][rng.randrange(len(entries[key]))]
+        if not entries[key]:
+            del entries[key]
+    return VCollection.from_entries(V.partition, entries)
+
+
+def test_dims_refusal_spares_every_verified_realization():
+    # the (V1) product of a realization is a nonsingular bilinear map, so the
+    # dims table of anything that passes (V1)-(V3) is never refuted
+    from conelab.doubling import iterate_construction
+
+    rng = random.Random(7)
+    bases = [iterate_construction(r) for r in range(1, 11)]
+    for F in (bundled_family_3_5_7(), composition_family(8, 16),
+              composition_family(4, 8), composition_family(3, 4)):
+        bases += [build_rank3_cone(F), build_rank3_dual(F)]
+    checked = list(bases)
+    for V in bases[2:6] + bases[10:]:
+        for _ in range(30):
+            W = _dropped(V, rng)
+            if verify_v_conditions(W).passed:
+                checked.append(W)
+    assert len(checked) > len(bases) + 50
+    for V in checked:
+        assert verify_v_conditions(V).passed
+        assert dims_refusal(V.dims_table()) is None
 
 
 def test_classify_rejections():
