@@ -325,23 +325,21 @@ def gram_violation(elements, index, n):
 
 
 def frame(elements, gram, n):
-    """The symmetric n x n matrix sum_c tX_c·X_c / g_c, or None.
+    """The symmetric n x n matrix sum_c tX_c·X_c / g_c.
 
     elements are sparse matrices X_c with n columns and gram their Gram
-    rows as gram_violation returns them; None unless every row c is
-    {c: g_c}. Returns (diag, off): diag the list of the n diagonal entries,
-    off a dict {(v, w): value} of the nonzero entries with v != w, both
-    triangles stored. Row u of X_c adds X_c[u][v]·X_c[u][w] / g_c at
-    (v, w): each entry adds to the diagonal, and pairs of entries in one
-    row add off it, so the work is the sum of the squared row lengths.
+    rows as gram_violation returns them, each row c exactly {c: g_c} (see
+    core.VCollection._orthogonal). Returns (diag, off): diag the list of
+    the n diagonal entries, off a dict {(v, w): value} of the nonzero
+    entries with v != w, both triangles stored. Row u of X_c adds
+    X_c[u][v]·X_c[u][w] / g_c at (v, w): each entry adds to the diagonal,
+    and pairs of entries in one row add off it, so the work is the sum of
+    the squared row lengths.
     """
     diag = [0] * n
     off = {}
     for c, E in enumerate(elements):
-        row = gram[c]
-        g = row.get(c)
-        if g is None or len(row) != 1:
-            return None
+        g = gram[c][c]
         inv = 1 if g == 1 else 1 / Fraction(g)
         last = None
         for u, v, e in E:

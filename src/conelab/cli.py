@@ -97,11 +97,25 @@ def _over_limit(flag, value, limit):
     return True
 
 
-def _over_dense_limit(V):
-    """_over_limit for the dense entry count of a realization's JSON."""
+def _dense_count(V):
+    """The number of basis entries, zeros included, in a realization's JSON."""
     size = V.partition.size
-    count = sum(V.dim(k, j) * size(k) * size(j) for k, j in V.spaces())
+    return sum(V.dim(k, j) * size(k) * size(j) for k, j in V.spaces())
+
+
+def _over_dense_limit(count):
     return _over_limit("dense entry count", count, MAX_DENSE_ENTRIES)
+
+
+def _doubled_dense_count(V):
+    """_dense_count of double(V), from V's partition and dims alone.
+
+    double adds V_21, two n_1 x 2n_1 slabs, and widens each V_k1 to two
+    n_k x 2n_1 copies of its basis; every other space is carried over.
+    """
+    n1 = V.partition.size(1)
+    first_column = sum(V.dim(k, 1) * V.partition.size(k) for k in range(2, V.r + 1))
+    return _dense_count(V) + 4 * n1 * n1 + 4 * n1 * first_column
 
 
 def _extremal_dims(r):
@@ -129,20 +143,20 @@ def cmd_sigma(args):
     return EXIT_OK
 
 
-def _verified_construction(r):
-    """iterate_construction(r) after its single verification pass."""
+def _verify_construction(V):
+    """The single verification pass of an iterate_construction result."""
     from conelab.core import verify_v_conditions
-    from conelab.doubling import iterate_construction
 
-    V = iterate_construction(r)
     if not verify_v_conditions(V).passed:
         raise CommandFailure(EXIT_INTERNAL, "constructed realization fails (V1)-(V3)")
-    return V
 
 
 def cmd_theorem(args):
+    from conelab.doubling import iterate_construction
+
     r = args.rank
-    V = _verified_construction(r)
+    V = iterate_construction(r)
+    _verify_construction(V)
     table = V.dims_table()
     if table != _extremal_dims(r):
         raise CommandFailure(EXIT_INTERNAL, "dimension table is not d_kj = 2^(k-j)")
@@ -168,17 +182,20 @@ def cmd_double(args):
     V = _load_realization(args.infile)
     from conelab.doubling import double
 
-    W = double(V)
-    if _over_dense_limit(W):
+    # refused before double verifies its input
+    if _over_dense_limit(_doubled_dense_count(V)):
         return EXIT_INPUT
-    _emit(serialize.realization_to_dict(W), args.out)
+    _emit(serialize.realization_to_dict(double(V)), args.out)
     return EXIT_OK
 
 
 def cmd_iterate(args):
-    V = _verified_construction(args.rank)
-    if _over_dense_limit(V):
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(args.rank)
+    if _over_dense_limit(_dense_count(V)):
         return EXIT_INPUT
+    _verify_construction(V)
     _emit(serialize.realization_to_dict(V), args.out)
     return EXIT_OK
 
@@ -245,7 +262,7 @@ def cmd_rank3_build(args):
     F = _load_family(args.family)
     build = rank3.build_rank3_dual if args.dual else rank3.build_rank3_cone
     V = build(F)
-    if _over_dense_limit(V):
+    if _over_dense_limit(_dense_count(V)):
         return EXIT_INPUT
     _emit(serialize.realization_to_dict(V), args.out)
     return EXIT_OK

@@ -227,6 +227,19 @@ class VCollection:
         self._grams[key] = tuple(G)
         return None
 
+    def _orthogonal(self, k, j):
+        """Whether V_kj is known to pass (V3) with a diagonal Gram matrix.
+
+        Only a cached Gram matrix is read. It holds nonzero values only, so
+        row c must be {c: g_c} with g_c nonzero; a zero element has an empty
+        row. The basis is then orthogonal in <X, Y> = tr(X tY), and so
+        linearly independent.
+        """
+        G = self._grams.get((k, j))
+        return G is not None and all(
+            len(row) == 1 and a in row for a, row in enumerate(G)
+        )
+
     def gram(self, k, j):
         """Gram matrix of the basis of V_kj in the scalar product of (V3).
 
@@ -251,12 +264,13 @@ class VCollection:
         """
         key = (k, j)
         if key not in self._frames:
+            self.v3_violation(k, j)
             self._frames[key] = (
-                None
-                if self.v3_violation(k, j) is not None
-                else kernels.frame(
+                kernels.frame(
                     self.entries(k, j), self._grams[key], self.partition.size(j)
                 )
+                if self._orthogonal(k, j)
+                else None
             )
         return self._frames[key]
 
@@ -722,13 +736,17 @@ def _product_condition(V, transposed, by_trace=False):
     order; a zero product lies in every span, so the first failing nonzero
     product is the first failing pair. The counterexample is (i, j, k, a, b)
     with a and b the 1-indexed basis elements of the left and right factor.
-    by_trace (for (V2), once (V1) has passed) first decides each triple by
-    the trace identity of verify_v_conditions where V_ji and V_ki have
-    frames; the kernel then runs only where it fails, to name the pair, and
-    a kernel that finds none raises RuntimeError.
+    A triple whose target is full (d = n_k n_t) makes no kernel call: the
+    caller has shown every basis independent, so the target is the whole
+    matrix space and holds every product. by_trace (for (V2), once (V1)
+    has passed) first decides each triple by the trace identity of
+    verify_v_conditions where V_ji and V_ki have frames; the kernel then
+    runs only where it fails, to name the pair, and a kernel that finds
+    none raises RuntimeError.
     """
     # looked up per call, so a wrapper installed on the kernels module is seen
     violation = kernels.span_violation
+    part = V.partition
     for k in range(3, V.r + 1):
         for j in range(2, k):
             for i in range(1, j):
@@ -736,12 +754,14 @@ def _product_condition(V, transposed, by_trace=False):
                 basis_left = V.entries(*left)
                 if not basis_left or not V.dim(j, i):
                     continue
+                if V.dim(*target) == part.size(k) * part.size(target[1]):
+                    continue
                 excess = _v2_excess(V, i, j, k) if by_trace else None
                 if excess == 0:
                     continue
                 S = V.solver(*target)  # no rows when zero-dimensional
                 right = V._index(j, i, by_row=not transposed)
-                width = V.partition.size(target[1])
+                width = part.size(target[1])
                 _, bad = violation(basis_left, right, width, S.rows, S.pivots, S.piv_invs)
                 if bad is not None:
                     return ConditionReport(False, (i, j, k, bad[0] + 1, bad[1] + 1))
@@ -761,6 +781,19 @@ def verify_v_conditions(V):
     counterexample per condition. The orthonormal flag is informational and
     not part of the conditions.
 
+    Three exact rules spare work without changing any answer:
+      1. (V3) runs first. A space whose Gram matrix is diagonal has an
+         orthogonal basis (its g_c are nonzero), so it is independent and
+         builds its echelon form only when a (V1)/(V2) kernel reads it.
+         Every other space is eliminated before any product is formed, so
+         a dependent basis raises the same StructureError, naming the first
+         dependent space in sorted order, as eliminating them all would.
+      2. A triple whose target space is full (d = n_k n_t) forms no
+         product: the target is the whole matrix space (see
+         _product_condition).
+      3. A basis with pairwise disjoint supports is its own reduced echelon
+         form (see linalg.SpanSolver).
+
     Once (V1) has passed, (V2) on a triple i < j < k is decided without
     forming a product whenever V_ji and V_ki have frames Q = sum_c tX_c X_c
     / g_c, that is, (V3) holds on them with a diagonal Gram matrix (see
@@ -779,15 +812,16 @@ def verify_v_conditions(V):
     kernel decides every other triple, and names the first failing pair of
     a triple where the identity fails.
     """
-    for key in V.spaces():
-        V.solver(*key)
-
     v3 = ConditionReport(True)
     for k, j in V.spaces():
         bad = V.v3_violation(k, j)
         if bad is not None:
             v3 = ConditionReport(False, (k, j, *bad))
             break
+    # rule 1: every basis that is not orthogonal is eliminated now
+    for key in V.spaces():
+        if not V._orthogonal(*key):
+            V.solver(*key)
 
     v1 = _product_condition(V, transposed=False)
     v2 = _product_condition(V, transposed=True, by_trace=v1.passed)

@@ -7,6 +7,23 @@ basis {E_a}, the widened matrices (E_a 0) and (0 E_a). Every old space is
 also carried over unchanged with both indices shifted by one (the old first
 column reappears as the new second column). Iterating from the rank-1 datum
 yields partitions (2^{r-1}, ..., 2, 1) with dim V_kj = 2^{k-j}.
+
+The step keeps (V1)-(V3) at every rank, for any input that passes them, not
+only for the iterated family. Write W for the result and E, F for basis
+elements of old spaces; W_(k+1)(j+1) = V_kj. A triple i < j < k of W with
+i > 1 is the old triple (i-1, j-1, k-1). A new triple (1, j, k) reduces
+to an old one, or to none:
+  j = 2: (V1) E (I 0) = (E 0) and E (0 I) = (0 E) lie in W_k1 for E in
+    V_(k-1)1, and (V2) (E 0) t(I 0) = E, (E 0) t(0 I) = 0 lie in
+    W_k2 = V_(k-1)1 (likewise for (0 E));
+  j > 2: for A in V_(k-1)(j-1), E in V_(j-1)1 and F in V_(k-1)1, (V1)
+    A (E 0) = (AE 0) with AE in V_(k-1)1 by (V1) on the old triple
+    (1, j-1, k-1), and (V2) (F 0) t(E 0) = F tE lies in V_(k-1)(j-1) by
+    (V2) on that same triple, while (F 0) t(0 E) = 0.
+(V3) on W_k1 is (V3) on V_(k-1)1, as (E 0) t(F 0) = E tF and (E 0) t(0 F)
+= 0; on W_21 the slabs give I and 0. The dims table of W is d_21 = 2,
+d_(k+1)1 = 2 d_k1 and d_(k+1)(j+1) = d_kj. Verification does not rely on
+this: it decides every product of a doubled realization afresh.
 """
 
 import os
@@ -98,9 +115,9 @@ def iterate_construction(r):
     (see _double_unchecked), so building rank 7 takes about 0.3 ms and rank
     10 about 2 ms. The default cap of 13 is set by the dense JSON that
     `conelab iterate` and `double` write, which grows 4x per rank, not by
-    verification (`conelab theorem --rank 12`, 13 and 14 took 0.31, 0.50
-    and 1.07 s as cold calls on a 2-vCPU VM with Python 3.11, 1.6-2.1x per
-    rank; medians of 3, see BENCH_19.json). The CONELAB_RANK_CAP variable
+    verification (`conelab theorem --rank 12`, 13 and 14 took 0.20, 0.40
+    and 0.72 s as cold calls on a 2-vCPU VM with Python 3.11, 1.8-2x per
+    rank; medians of 3, see BENCH_21.json). The CONELAB_RANK_CAP variable
     lifts the cap.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:

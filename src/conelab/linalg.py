@@ -149,6 +149,11 @@ def _add_multiple(target, f, source):
             target.pop(j, None)
 
 
+def _pivot_inverse(p):
+    """1/p for a pivot value, kept exact and an int where it is one."""
+    return normalize_rational(p if p == 1 or p == -1 else exact_inv(p))
+
+
 class SpanSolver:
     """Row space of a fixed list of vectors, echelonized once.
 
@@ -161,11 +166,32 @@ class SpanSolver:
     dependent input vector is a StructureError: declared bases must be
     linearly independent.
 
+    Nonzero vectors with pairwise disjoint supports are their own reduced
+    echelon form: no vector meets another's pivot, so the elimination would
+    change none of them. They are stored as they are, with the rows, pivots,
+    piv_invs and trans the elimination would build.
+
     contains and solve each cost one elimination pass over a copy of the
     query's nonzeros.
     """
 
     def __init__(self, vectors, label=""):
+        vectors = [v if isinstance(v, dict) else _sparse_vector(v) for v in vectors]
+        if all(vectors) and sum(map(len, vectors)) == len(set().union(*vectors)):
+            self.rows = vectors
+            self.trans = [{idx: 1} for idx in range(len(vectors))]
+            self.pivots = {}
+            self.piv_invs = []
+            for idx, v in enumerate(vectors):
+                pc = min(v)
+                self.pivots[pc] = idx
+                self.piv_invs.append(_pivot_inverse(v[pc]))
+        else:
+            self._eliminate(vectors, label)
+        self.dim = len(self.rows)
+
+    def _eliminate(self, vectors, label):
+        """Gauss-Jordan elimination of sparse vectors, taken over as rows."""
         rows = []
         trans = []
         pivots = {}
@@ -173,8 +199,7 @@ class SpanSolver:
         # non-pivot index -> the rows with a nonzero there, so the
         # back-reduction at a new pivot visits only the rows it changes
         holders = {}
-        for idx, start in enumerate(vectors):
-            v = start if isinstance(start, dict) else _sparse_vector(start)
+        for idx, v in enumerate(vectors):
             t = {idx: 1}
             for col in v.keys() & pivots.keys():
                 u = pivots[col]
@@ -187,8 +212,7 @@ class SpanSolver:
                     % (" in " + label if label else "", idx + 1)
                 )
             pc = min(v)
-            p = v[pc]
-            inv = normalize_rational(p if p == 1 or p == -1 else exact_inv(p))
+            inv = _pivot_inverse(v[pc])
             for u in holders.pop(pc, ()):
                 row = rows[u]
                 f = -row[pc] * inv
@@ -219,7 +243,6 @@ class SpanSolver:
         self.trans = trans
         self.pivots = pivots
         self.piv_invs = piv_invs
-        self.dim = len(rows)
 
     def solve(self, vector):
         """Coordinates of vector in the original basis, or None if outside."""

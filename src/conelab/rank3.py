@@ -901,21 +901,41 @@ def dims_refusal(table):
     applies to (min, max, d_ki) of its dimensions when d_kj and d_ji are
     positive. Returns the message naming (i, j, k) and the certificate, or
     None; triples go in (k, j, i) order as in verify_v_conditions.
+
+    Each distinct shape is decided once. For one (k, j) the pairs
+    (d_ji, d_ki) over i are gathered as a set, less those already met with
+    the same d_kj; only a (k, j) with a refused new pair is walked in i
+    order, to name its first refused triple.
     """
+    column = {k: [table.d(k, i) for i in range(1, k)] for k in range(2, table.r + 1)}
+    cleared = set()  # shapes (min, max, d_ki) that shape_refusal passed
+    seen = {}  # d_kj -> the pairs (d_ji, d_ki) already met with it
     for k in range(3, table.r + 1):
+        row = column[k]
         for j in range(2, k):
-            for i in range(1, j):
-                a, b, c = table.d(k, j), table.d(j, i), table.d(k, i)
-                if not (a and b):
-                    continue
-                reason = shape_refusal(min(a, b), max(a, b), c)
-                if reason is not None:
-                    return (
-                        "no realization has this dimension table: at (i, j, k) = "
-                        "(%d, %d, %d), (V1) makes V_%d%d x V_%d%d -> V_%d%d a "
-                        "nonsingular bilinear map R^%d x R^%d -> R^%d, and %s"
-                        % (i, j, k, k, j, j, i, k, i, a, b, c, reason)
-                    )
+            a = row[j - 1]
+            if not a:
+                continue
+            pairs = list(zip(column[j], row))
+            new = set(pairs) - seen.setdefault(a, set())
+            refused = {}
+            for b, c in new:
+                shape = (min(a, b), max(a, b), c)
+                if b and shape not in cleared:
+                    reason = shape_refusal(*shape)
+                    if reason is None:
+                        cleared.add(shape)
+                    else:
+                        refused[(b, c)] = reason
+            if refused:
+                i, (b, c) = next(p for p in enumerate(pairs, 1) if p[1] in refused)
+                return (
+                    "no realization has this dimension table: at (i, j, k) = "
+                    "(%d, %d, %d), (V1) makes V_%d%d x V_%d%d -> V_%d%d a "
+                    "nonsingular bilinear map R^%d x R^%d -> R^%d, and %s"
+                    % (i, j, k, k, j, j, i, k, i, a, b, c, refused[(b, c)])
+                )
+            seen[a] |= new
     return None
 
 

@@ -694,13 +694,18 @@ def test_sigma_dims_refuted_by_v1_product(capsys, tmp_path):
 
 def test_dense_writers_refuse_over_the_entry_limit(capsys, monkeypatch, tmp_path):
     # iterate, double and rank3 build count the dense entries before they
-    # build any JSON; rank 3 has 4*2*2 + 4*4*1 + 2*2*1 = 36
+    # build any JSON, and iterate and double before they verify anything;
+    # rank 3 has 4*2*2 + 4*4*1 + 2*2*1 = 36
     _, cone = write_omega2(tmp_path)
     _, fam = write_family(tmp_path)
     monkeypatch.setattr(cli, "MAX_DENSE_ENTRIES", 35)
     monkeypatch.setattr(
         serialize, "realization_to_dict", lambda V: pytest.fail("JSON was built")
     )
+    for module in (core, doubling):
+        monkeypatch.setattr(
+            module, "verify_v_conditions", lambda V: pytest.fail("verified")
+        )
     out_path = tmp_path / "out.json"
     for argv in (
         ("iterate", "--rank", "3"),
@@ -712,6 +717,16 @@ def test_dense_writers_refuse_over_the_entry_limit(capsys, monkeypatch, tmp_path
         assert (code, out) == (1, "")
         assert "exceeds the limit of 35" in err
         assert not out_path.exists()
+
+
+def test_doubled_dense_count_comes_from_the_input():
+    from conelab.doubling import double
+
+    inputs = [iterate_construction(r) for r in range(1, 7)]
+    for F in (bundled_family_3_5_7(), rank3.composition_family(4, 8)):
+        inputs += [rank3.build_rank3_cone(F), rank3.build_rank3_dual(F)]
+    for V in inputs:
+        assert cli._doubled_dense_count(V) == cli._dense_count(double(V))
 
 
 def test_iterate_rank_11_refused_at_a_small_peak():

@@ -341,27 +341,42 @@ def _counting_decisions(monkeypatch):
     return decided
 
 
+def _is_full(V, k, t):
+    """Whether V_kt is the whole space of n_k x n_t matrices."""
+    return V.dim(k, t) == V.partition.size(k) * V.partition.size(t)
+
+
 def _nonzero_products(V):
-    """Nonzero (V1) and (V2) basis products, by naive all-pairs products."""
+    """Nonzero (V1) and (V2) basis products, by naive all-pairs products.
+
+    "v1_open" counts the (V1) ones whose target V_ki is not full: a full
+    target holds every product, so verification decides no other (V1)
+    product against a span.
+    """
     from conelab._kernels import mat_mul, mat_mul_t
 
-    counts = {"v1": 0, "v2": 0}
+    counts = {"v1": 0, "v2": 0, "v1_open": 0}
     for k in range(3, V.r + 1):
         for j in range(2, k):
             for i in range(1, j):
                 conditions = (("v1", (k, j), mat_mul), ("v2", (k, i), mat_mul_t))
                 for cond, left, mul in conditions:
-                    for E in dense_basis(V, *left):
-                        for F in dense_basis(V, j, i):
-                            counts[cond] += any(any(row) for row in mul(E, F))
+                    nonzero = sum(
+                        any(any(row) for row in mul(E, F))
+                        for E in dense_basis(V, *left)
+                        for F in dense_basis(V, j, i)
+                    )
+                    counts[cond] += nonzero
+                    if cond == "v1" and not _is_full(V, k, i):
+                        counts["v1_open"] += nonzero
     return counts
 
 
 @pytest.mark.parametrize("rank, nonzero", [(5, 184), (7, 1608)])
 def test_verify_span_queries_follow_nonzero_products(monkeypatch, rank, nonzero):
-    # of the nonzero (V1)/(V2) products only the (V1) ones are decided
-    # against a span: (V2) passes by its trace identity; at rank 7 the basis
-    # pairs number 7596
+    # of the nonzero (V1)/(V2) products only the (V1) ones into a target
+    # that is not full are decided against a span: (V2) passes by its trace
+    # identity; at rank 7 the basis pairs number 7596
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(rank)
@@ -369,7 +384,7 @@ def test_verify_span_queries_follow_nonzero_products(monkeypatch, rank, nonzero)
     assert counts["v1"] + counts["v2"] == nonzero
     decided = _counting_decisions(monkeypatch)
     assert verify_v_conditions(V).passed
-    assert sum(decided) == counts["v1"]
+    assert sum(decided) == counts["v1_open"]
 
 
 @pytest.mark.parametrize(
@@ -377,24 +392,31 @@ def test_verify_span_queries_follow_nonzero_products(monkeypatch, rank, nonzero)
 )
 def test_verify_query_and_solver_counts(monkeypatch, r, products):
     # products counts the nonzero (V1) and (V2) basis products, equally many
-    # in the doubled family (see the test above); one span decision per
-    # nonzero (V1) product (4, 24, 92, 288, 804, 2088 for r = 3..8), one
-    # kernel call per triple and none for (V2), one solver per space
+    # in the doubled family (see the test above). Its last-row spaces V_rj
+    # are full (n_r = 1, d_rj = n_j), so the triples (i, j, r) form no
+    # product: one kernel call per triple with k < r, one span decision per
+    # nonzero (V1) product into a target that is not full, none for (V2),
+    # and one solver for each target V_ki, k < r, that those calls read;
+    # the other spaces have orthogonal bases, independent by (V3)
     from conelab.doubling import iterate_construction
 
-    counts = {"init": 0}
+    V = iterate_construction(r)
+    counts = _nonzero_products(V)
+    assert counts["v1"] + counts["v2"] == products
+    assert counts["v1_open"] == (0, 0, 4, 24, 92, 288, 804)[r - 2]
+    inits = {"count": 0}
     init = linalg.SpanSolver.__init__
 
     def counting_init(self, *args, **kwargs):
-        counts["init"] += 1
+        inits["count"] += 1
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg.SpanSolver, "__init__", counting_init)
     decided = _counting_decisions(monkeypatch)
-    assert verify_v_conditions(iterate_construction(r)).passed
-    assert counts == {"init": r * (r - 1) // 2}
-    assert len(decided) == r * (r - 1) * (r - 2) // 6
-    assert 2 * sum(decided) == products
+    assert verify_v_conditions(V).passed
+    assert inits == {"count": (r - 2) * (r - 3) // 2}
+    assert len(decided) == (r - 1) * (r - 2) * (r - 3) // 6
+    assert sum(decided) == counts["v1_open"]
 
 
 def test_verify_reports_first_failing_pair_in_order():
@@ -524,34 +546,74 @@ def test_v2_trace_identity_fails_where_v1_and_v3_pass():
     assert report == dense_verify(V)
 
 
+def test_full_targets_hold_every_product():
+    # verify_v_conditions runs no kernel on a triple whose target is full;
+    # run directly on each such triple, the kernel finds no failing pair:
+    # doubled ranks 1-7, the rank-3 cones and duals, and seeded variants and
+    # entry mutants of them that keep their bases independent
+    import itertools
+
+    from conelab import rank3
+    from conelab.doubling import iterate_construction
+    from tests.test_dense_oracle import _mutants
+
+    rng = random.Random(21)
+    bases = [iterate_construction(r) for r in range(1, 8)]
+    for F in (rank3.bundled_family_3_5_7(), rank3.composition_family(4, 8),
+              rank3.composition_family(1, 2)):
+        bases += [rank3.build_rank3_cone(F), rank3.build_rank3_dual(F)]
+    sources = list(bases)
+    for V in bases[2:]:
+        sources += [_variant(V, rng) for _ in range(20)]
+        sources += itertools.islice(_mutants(V, rng), 20)
+    checked = failing = 0
+    for V in sources:
+        try:
+            failing += not verify_v_conditions(V).passed
+        except StructureError:
+            continue
+        for k in range(3, V.r + 1):
+            for j in range(2, k):
+                for i in range(1, j):
+                    sides = ((False, (k, j), i), (True, (k, i), j))
+                    for transposed, left, t in sides:
+                        if V.dim(*left) and V.dim(j, i) and _is_full(V, k, t):
+                            assert _triple_holds(V, i, j, k, transposed)
+                            checked += 1
+    assert checked > 2000 and failing > 100
+
+
 def test_v2_forms_no_product_on_passing_doubled_realization(monkeypatch):
-    # at rank 7 every kernel call is a (V1) call: 35 triples, 804 decisions
+    # at rank 7 every kernel call is a (V1) call: the 20 triples with k < 7,
+    # 288 decisions
     from conelab.doubling import iterate_construction
 
     V = iterate_construction(7)
     decided = _counting_decisions(monkeypatch)
     assert verify_v_conditions(V).passed
-    assert (len(decided), sum(decided)) == (35, 804)
+    assert (len(decided), sum(decided)) == (20, 288)
     v1_calls = len(decided)
     core._product_condition(V, transposed=False)
     assert len(decided) == 2 * v1_calls
 
 
 def test_v2_skewed_basis_takes_the_kernel_path(monkeypatch):
-    # the Gram matrix of V_21 is not diagonal, so V_21 has no frame and the
-    # kernel decides (V2) on the one triple
-    V = VCollection(
-        BlockPartition((2, 1, 1)),
-        {
-            (2, 1): [[[1, 1]], [[1, 0]]],
-            (3, 1): [[[1, 0]], [[0, 1]]],
-            (3, 2): [[[1]]],
-        },
-    )
+    # doubled rank 4 with V_21 spanned by (I 0) and (I I): the same space,
+    # but its Gram matrix is not diagonal, so V_21 has no frame and the
+    # kernel decides (V2) on (1, 2, 3), whose target V_32 is not full; the
+    # other triples with V_21 or V_31 on the left go into full spaces V_4j
+    from conelab.doubling import iterate_construction
+
+    V = iterate_construction(4)
+    entries = {key: list(V.entries(*key)) for key in V.spaces()}
+    first, second = entries[(2, 1)]
+    entries[(2, 1)] = [first, first + second]
+    V = VCollection.from_entries(V.partition, entries)
     decided = _counting_decisions(monkeypatch)
     report = verify_v_conditions(V)
     assert report.passed and not report.orthonormal
     assert V.frame(2, 1) is None and V.frame(3, 1) is not None
+    assert not _is_full(V, 3, 2)
     assert len(decided) == 2
 
 
@@ -570,9 +632,24 @@ def test_v2_identity_that_the_kernel_refutes_is_an_internal_error(monkeypatch):
 
 
 def test_verify_dependent_basis_rejected():
-    V = VCollection(BlockPartition((2, 1)), {(2, 1): [[[1, 0]], [[2, 0]]]})
-    with pytest.raises(StructureError):
-        verify_v_conditions(V)
+    # the first dependent space in sorted order is named, before any product
+    # is formed: a zero element has no (V3) scalar, so its space is
+    # eliminated like one whose Gram matrix is not diagonal, and no Gram
+    # matrix is formed after the first (V3) failure, so every later space
+    # is eliminated too
+    fails_v3 = [[[1], [0]]]  # X tX has rank 1, so it is not scalar
+    cases = [
+        ((2, 1), {(2, 1): [[[1, 0]], [[2, 0]]]}, "V_21 (vector 2)"),
+        ((2, 1), {(2, 1): [[[1, 0]], [[0, 0]]]}, "V_21 (vector 2)"),
+        ((1, 2, 1), {(2, 1): fails_v3, (3, 1): [[[1]], [[2]]]}, "V_31 (vector 2)"),
+        ((1, 2, 1), {(2, 1): fails_v3 + [[[2], [0]]]}, "V_21 (vector 2)"),
+        ((1, 2, 1), {(2, 1): fails_v3, (3, 2): [[[1, 0]], [[0, 0]]]}, "V_32 (vector 2)"),
+    ]
+    for sizes, bases, where in cases:
+        V = VCollection(BlockPartition(sizes), bases)
+        with pytest.raises(StructureError) as exc:
+            verify_v_conditions(V)
+        assert str(exc.value) == "linearly dependent basis in " + where
 
 
 def test_ldl_identity(omega2, omega3):

@@ -232,3 +232,26 @@ def test_doubled_bases_are_orthonormal_in_v3(r):
         for s, X in enumerate(basis):
             for t, Y in enumerate(basis):
                 assert _sparse_product(X, Y, True) == (identity if s == t else {})
+
+
+@pytest.mark.parametrize("family", ["3_5_7", "4_8", "1_2"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_double_of_rank3_cones_passes_with_the_doubled_table(family, dual):
+    # the rank-free statement of the module docstring on inputs that are
+    # not doubled: d_21 = 2, d_(k+1)1 = 2 d_k1, d_(k+1)(j+1) = d_kj
+    from conelab import rank3
+
+    F = (
+        rank3.bundled_family_3_5_7()
+        if family == "3_5_7"
+        else rank3.composition_family(*map(int, family.split("_")))
+    )
+    V = (rank3.build_rank3_dual if dual else rank3.build_rank3_cone)(F)
+    W = double(V)
+    assert verify_v_conditions(W).passed
+    t, u = V.dims_table(), W.dims_table()
+    assert u.d(2, 1) == 2
+    for k in range(2, V.r + 1):
+        assert u.d(k + 1, 1) == 2 * t.d(k, 1)
+        for j in range(1, k):
+            assert u.d(k + 1, j + 1) == t.d(k, j)

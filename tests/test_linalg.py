@@ -344,3 +344,33 @@ def test_span_solver_contains_matches_dense_oracle(case):
         assert solver.contains(sparse) == expected
         assert sparse == before
     assert solver.contains(member)
+
+
+@st.composite
+def _disjoint_cases(draw):
+    # nonzero vectors on pairwise disjoint index sets, pivots anywhere in
+    # each, some of them Fractions; dense or sparse
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    order = draw(st.permutations(range(n)))
+    values = st.sampled_from((1, -1, 2, Fraction(1, 3), Fraction(-5, 2)))
+    vectors = []
+    for size in sizes:
+        vectors.append({i: draw(values) for i in order[:size]})
+        order = order[size:]
+    if draw(st.booleans()):
+        return [[v.get(i, 0) for i in range(n)] for v in vectors]
+    return vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_disjoint_cases())
+def test_span_solver_disjoint_supports_store_the_elimination_state(vectors):
+    # vectors with pairwise disjoint supports are stored as they are; the
+    # state equals what the general elimination builds from the same input
+    solver = linalg.SpanSolver([v.copy() for v in vectors])
+    general = linalg.SpanSolver.__new__(linalg.SpanSolver)
+    general._eliminate([linalg._sparse_vector(v) for v in vectors], "")
+    for name in ("rows", "pivots", "piv_invs", "trans"):
+        assert getattr(solver, name) == getattr(general, name), name
+    assert solver.dim == len(vectors)

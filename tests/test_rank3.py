@@ -956,6 +956,52 @@ def test_dims_refusal_spares_every_verified_realization():
         assert dims_refusal(V.dims_table()) is None
 
 
+def _dims_refusal_per_triple(table):
+    """dims_refusal as one shape_refusal call per triple, in (k, j, i) order."""
+    for k in range(3, table.r + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                a, b, c = table.d(k, j), table.d(j, i), table.d(k, i)
+                if not (a and b):
+                    continue
+                reason = shape_refusal(min(a, b), max(a, b), c)
+                if reason is not None:
+                    return (
+                        "no realization has this dimension table: at (i, j, k) = "
+                        "(%d, %d, %d), (V1) makes V_%d%d x V_%d%d -> V_%d%d a "
+                        "nonsingular bilinear map R^%d x R^%d -> R^%d, and %s"
+                        % (i, j, k, k, j, j, i, k, i, a, b, c, reason)
+                    )
+    return None
+
+
+def test_dims_refusal_matches_the_per_triple_loop():
+    # each distinct shape is decided once, yet the first refused triple and
+    # its message are those of the loop: every rank-4 table with entries
+    # <= 3, seeded rank-5..8 tables, and the extremal table at r = 60
+    import itertools
+
+    from conelab.degrees import DimTable
+
+    keys = [(k, j) for k in range(2, 5) for j in range(1, k)]
+    refused = 0
+    for values in itertools.product(range(4), repeat=len(keys)):
+        table = DimTable(4, dict(zip(keys, values)))
+        want = _dims_refusal_per_triple(table)
+        assert dims_refusal(table) == want, values
+        refused += want is not None
+    assert 0 < refused < 4**6
+    rng = random.Random(21)
+    for r in range(5, 9):
+        keys = [(k, j) for k in range(2, r + 1) for j in range(1, k)]
+        for _ in range(300):
+            values = [rng.choice((0, 1, 2, 3, 4, 8, 16)) for _ in keys]
+            table = DimTable(r, dict(zip(keys, values)))
+            assert dims_refusal(table) == _dims_refusal_per_triple(table)
+    extremal = cli._extremal_dims(60)
+    assert dims_refusal(extremal) is _dims_refusal_per_triple(extremal) is None
+
+
 def test_classify_rejections():
     # r = s = n is the r = n case of the Hurwitz-Radon bound
     with pytest.raises(StructureError, match=r"bound rho\(3\) = 1"):
