@@ -144,16 +144,21 @@ def character_exponents(sigma, j):
     return tuple(2 * e for e in sigma.rows[j - 1])
 
 
+def dual_table(table):
+    """Dimension table of the dual cone: d*_kj = d_{r+1-j, r+1-k}.
+
+    Passing to the dual reverses the order of the indices (Vinberg 1963), so
+    the dual of the dual is the table itself.
+    """
+    r = table.r
+    return DimTable(r, {(r + 1 - j, r + 1 - k): d for (k, j), d in table.items()})
+
+
 def dual_degrees_rank3(r, s, n):
     """Degrees on the dual side of a rank-3 cone with data (r, s, n).
 
-    Swapping the roles of r and s passes to the dual realization, so the
-    layering runs on the swapped table; the result is reported in the dual
-    numbering, top degree first.
+    The layering runs on the dual of the table (d21, d31, d32) = (s, n, r);
+    the result is reported in the dual numbering, top degree first.
     """
-    for name, v in (("r", r), ("s", s), ("n", n)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError("%s must be a nonnegative integer" % name)
-    swapped = rank3_table(d21=r, d31=n, d32=s)
-    degrees = degrees_from_sigma(sigma_from_dims(swapped))
-    return tuple(reversed(degrees))
+    dual = dual_table(rank3_table(d21=s, d31=n, d32=r))
+    return tuple(reversed(degrees_from_sigma(sigma_from_dims(dual))))

@@ -113,12 +113,13 @@ def iterate_construction(r):
     verify_v_conditions of the result covers every step, and callers that
     need the guarantee run it once. Each step stores its entries unchecked
     (see _double_unchecked), so building rank 7 takes about 0.3 ms and rank
-    10 about 2 ms. The default cap of 13 is set by the dense JSON that
-    `conelab iterate` and `double` write, which grows 4x per rank, not by
-    verification (`conelab theorem --rank 12`, 13 and 14 took 0.20, 0.40
-    and 0.72 s as cold calls on a 2-vCPU VM with Python 3.11, 1.8-2x per
-    rank; medians of 3, see BENCH_21.json). The CONELAB_RANK_CAP variable
-    lifts the cap.
+    10 about 2 ms. `conelab iterate` and `double` refuse their dense JSON
+    from rank 11 on (cli.MAX_DENSE_ENTRIES), before any verification, so
+    the default cap of 13 binds only `conelab theorem` and library calls,
+    where verification time and memory set it: `conelab theorem --rank 12`,
+    13 and 14 took 0.20, 0.40 and 0.72 s at peak RSS 33, 56 and 104 MB as
+    cold calls on a 2-vCPU VM with Python 3.11, 1.8-2x per rank (medians
+    of 3, see BENCH_21.json). The CONELAB_RANK_CAP variable lifts the cap.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("rank must be a positive integer")

@@ -13,10 +13,6 @@ from fractions import Fraction
 from conelab import _kernels as kernels
 from conelab.errors import StructureError
 
-dot = kernels.dot
-mat_mul = kernels.mat_mul
-mat_mul_t = kernels.mat_mul_t
-
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -27,7 +23,7 @@ def transpose(A):
 
 
 def mat_vec(A, v):
-    return [dot(row, v) for row in A]
+    return [kernels.dot(row, v) for row in A]
 
 
 def kron(A, B):
@@ -138,15 +134,24 @@ def _sparse_vector(vector):
     return {i: x for i, x in enumerate(vector) if x}
 
 
-def _add_multiple(target, f, source):
-    """target += f * source on sparse vectors, dropping entries that cancel."""
-    get = target.get
-    for j, x in source.items():
-        y = get(j, 0) + f * x
-        if y:
-            target[j] = y
-        else:
-            target.pop(j, None)
+def _coords(coeffs, trans):
+    """sum_u coeffs[u]·trans[u] over sparse rows, as {index: value} of nonzeros.
+
+    With the rows of a SpanSolver's transform this maps coefficients on its
+    echelon rows to coordinates in the original vectors.
+    """
+    out = {}
+    for f, t in zip(coeffs, trans):
+        if f:
+            for a, x in t.items():
+                fx = f if x == 1 else f * x
+                if a in out:
+                    fx += out[a]
+                    if not fx:
+                        del out[a]
+                        continue
+                out[a] = fx
+    return out
 
 
 def _pivot_inverse(p):
@@ -159,20 +164,19 @@ class SpanSolver:
 
     Builds a mutually reduced (Gauss-Jordan) echelon basis of sparse rows,
     each pivot taken at the smallest index of the vector as reduced when it
-    is added, together with a transform back to the original vectors.
-    Vectors may be dense sequences or sparse {index: value} dicts of
-    nonzeros. A dict given to the constructor becomes a row and is changed in
-    place, so each row is built once; pass dicts that nothing else holds. A
-    dependent input vector is a StructureError: declared bases must be
-    linearly independent.
+    is added, together with a transform back to the original vectors:
+    rows[u] = sum_a trans[u][a]·vectors[a]. Vectors may be dense sequences
+    or sparse {index: value} dicts of nonzeros. A dict given to the
+    constructor becomes a row and is changed in place, so each row is built
+    once; pass dicts that nothing else holds. A dependent input vector is a
+    StructureError: declared bases must be linearly independent.
 
     Nonzero vectors with pairwise disjoint supports are their own reduced
     echelon form: no vector meets another's pivot, so the elimination would
     change none of them. They are stored as they are, with the rows, pivots,
     piv_invs and trans the elimination would build.
 
-    contains and solve each cost one elimination pass over a copy of the
-    query's nonzeros.
+    solve costs one reduction pass over a copy of the query's nonzeros.
     """
 
     def __init__(self, vectors, label=""):
@@ -191,58 +195,37 @@ class SpanSolver:
         self.dim = len(self.rows)
 
     def _eliminate(self, vectors, label):
-        """Gauss-Jordan elimination of sparse vectors, taken over as rows."""
-        rows = []
-        trans = []
-        pivots = {}
-        piv_invs = []
-        # non-pivot index -> the rows with a nonzero there, so the
-        # back-reduction at a new pivot visits only the rows it changes
-        holders = {}
+        """Gauss-Jordan elimination of sparse vectors, taken over as rows.
+
+        Each vector is reduced as a query is, and its transform row is its
+        own index less the query's coordinates. Its pivot is then cleared
+        from every earlier row that holds it, so the rows stay mutually
+        reduced.
+        """
+        rows = self.rows = []
+        trans = self.trans = []
+        pivots = self.pivots = {}
+        piv_invs = self.piv_invs = []
         for idx, v in enumerate(vectors):
-            t = {idx: 1}
-            for col in v.keys() & pivots.keys():
-                u = pivots[col]
-                f = -v[col] * piv_invs[u]
-                _add_multiple(v, f, rows[u])
-                _add_multiple(t, f, trans[u])
+            coeffs = kernels.reduce_and_collect(v, rows, pivots, piv_invs)
             if not v:
                 raise StructureError(
                     "linearly dependent basis%s (vector %d)"
                     % (" in " + label if label else "", idx + 1)
                 )
+            t = {idx: 1}
+            for a, x in _coords(coeffs, trans).items():
+                t[a] = -x
             pc = min(v)
             inv = _pivot_inverse(v[pc])
-            for u in holders.pop(pc, ()):
-                row = rows[u]
-                f = -row[pc] * inv
-                for j, x in v.items():
-                    y = row.get(j, 0) + f * x
-                    if y:
-                        if j not in row:
-                            holders.setdefault(j, []).append(u)
-                        row[j] = y
-                    else:
-                        del row[j]
-                        if j != pc:
-                            holders[j].remove(u)
-                _add_multiple(trans[u], f, t)
-            new = len(rows)
-            for j in v:
-                if j != pc:
-                    hs = holders.get(j)
-                    if hs is None:
-                        holders[j] = [new]
-                    else:
-                        hs.append(new)
-            pivots[pc] = new
+            for u, row in enumerate(rows):
+                if pc in row:
+                    (f,) = kernels.reduce_and_collect(row, [v], {pc: 0}, [inv])
+                    trans[u] = _coords((1, -f), (trans[u], t))
+            pivots[pc] = idx
             rows.append(v)
             trans.append(t)
             piv_invs.append(inv)
-        self.rows = rows
-        self.trans = trans
-        self.pivots = pivots
-        self.piv_invs = piv_invs
 
     def solve(self, vector):
         """Coordinates of vector in the original basis, or None if outside."""
@@ -250,16 +233,9 @@ class SpanSolver:
         coeffs = kernels.reduce_and_collect(v, self.rows, self.pivots, self.piv_invs)
         if v:
             return None
-        out = [0] * self.dim
-        for u, f in enumerate(coeffs):
-            if f:
-                for a, x in self.trans[u].items():
-                    fx = f if x == 1 else f * x
-                    out[a] = out[a] + fx if out[a] else fx
-        return out
+        coords = _coords(coeffs, self.trans)
+        return [coords.get(a, 0) for a in range(self.dim)]
 
     def contains(self, vector):
         """Whether vector lies in the span; a dict vector is left unchanged."""
-        v = _sparse_vector(vector)
-        kernels.reduce_and_collect(v, self.rows, self.pivots, self.piv_invs)
-        return not v
+        return self.solve(vector) is not None

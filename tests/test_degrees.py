@@ -8,6 +8,7 @@ from conelab.degrees import (
     character_exponents,
     degrees_from_sigma,
     dual_degrees_rank3,
+    dual_table,
     rank3_table,
     sigma_from_dims,
 )
@@ -153,8 +154,24 @@ def test_dual_degrees_rank3_published_cases():
 @pytest.mark.parametrize("args, name", [((True, 2, 3), "r"), ((0, True, 3), "s"),
                                         ((1, 2, False), "n")])
 def test_dual_degrees_rank3_refuses_bool_naming_it(args, name):
-    with pytest.raises(ValueError, match="^%s must be a nonnegative integer" % name):
+    # (r, s, n) is the table (d21, d31, d32) = (s, n, r), which names the entry
+    entry = {"r": "d_32", "s": "d_21", "n": "d_31"}[name]
+    with pytest.raises(ValueError, match="^%s must be a nonnegative integer" % entry):
         dual_degrees_rank3(*args)
+
+
+def test_dual_table_is_an_involution_fixing_the_extremal_tables():
+    T = DimTable(4, {(2, 1): 1, (3, 1): 2, (3, 2): 3, (4, 1): 4, (4, 2): 5, (4, 3): 6})
+    D = dual_table(T)
+    assert (D.d(2, 1), D.d(3, 2), D.d(4, 3), D.d(4, 1)) == (6, 3, 1, 4)
+    assert dual_table(D) == T
+    for r in range(2, 41):
+        for shift in (0, 1):
+            table = DimTable(r, {(k, j): 2 ** (k - j - shift)
+                                 for k in range(2, r + 1) for j in range(1, k)})
+            assert dual_table(table) == table
+            degrees = degrees_from_sigma(sigma_from_dims(dual_table(table)))
+            assert degrees[-1] == 2 ** (r - 1)
 
 
 def test_dual_degrees_self_dual_cases():

@@ -333,6 +333,12 @@ def test_span_solver_contains_matches_dense_oracle(case):
     except StructureError:
         assume(False)
     solver = linalg.SpanSolver(basis)
+    # the transform rebuilds each row from the basis, and each row vanishes
+    # at every other row's pivot
+    for u, (row, t) in enumerate(zip(solver.rows, solver.trans)):
+        rebuilt = [sum(x * basis[a][i] for a, x in t.items()) for i in range(len(basis[0]))]
+        assert rebuilt == [row.get(i, 0) for i in range(len(basis[0]))]
+        assert all(not row.get(col) for col, w in solver.pivots.items() if w != u)
     member = [sum(c * v[i] for c, v in zip(coords, basis)) for i in range(len(basis[0]))]
     bumped = list(member)
     bumped[at] += bump
@@ -374,3 +380,30 @@ def test_span_solver_disjoint_supports_store_the_elimination_state(vectors):
     for name in ("rows", "pivots", "piv_invs", "trans"):
         assert getattr(solver, name) == getattr(general, name), name
     assert solver.dim == len(vectors)
+
+
+def test_span_solver_general_elimination_is_not_reached_by_the_families(monkeypatch):
+    # every space of the doubled family and of the rank-3 cones and duals
+    # has a basis with disjoint supports, so verification stores them as
+    # they are and never runs the general elimination
+    from conelab import core, doubling, rank3
+
+    built = {"count": 0}
+    init = linalg.SpanSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["count"] += 1
+        init(self, *args, **kwargs)
+
+    def refuse(self, vectors, label):
+        raise AssertionError("general elimination on " + label)
+
+    monkeypatch.setattr(linalg.SpanSolver, "__init__", counting_init)
+    monkeypatch.setattr(linalg.SpanSolver, "_eliminate", refuse)
+    for r in range(2, 9):
+        assert core.verify_v_conditions(doubling.iterate_construction(r)).passed
+    families = [rank3.composition_family(r, n) for r, n in ((4, 8), (8, 8), (8, 16), (10, 32))]
+    for F in families + [rank3.bundled_family_3_5_7()]:
+        rank3.build_rank3_cone(F)
+        rank3.build_rank3_dual(F)
+    assert built["count"] > 0
