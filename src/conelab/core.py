@@ -164,6 +164,7 @@ class VCollection:
         self._indexes = {}
         self._solvers = {}
         self._grams = {}
+        self._gram_facts = {}
         self._frames = {}
 
     @property
@@ -210,11 +211,13 @@ class VCollection:
         """First basis pair (a, b), 1-indexed, of V_kj that breaks (V3).
 
         None when every symmetrized product is scalar; the Gram matrix is then
-        cached, so gram() and is_orthonormal() reuse it. One kernel call joins
-        the space with its own column index and decides the pairs b >= a in
-        the order (1, 1), (1, 2), ..., (1, d), (2, 2), ... where their
-        products are formed; a zero product pairs to the scalar 0, so the
-        first failing pair is the first in that order among all pairs.
+        cached, with whether it is diagonal (row c is {c: g_c}) and whether
+        it is the identity, which _orthogonal, frame() and is_orthonormal()
+        read. One kernel call joins the space with its own column index and
+        decides the pairs b >= a in the order (1, 1), (1, 2), ..., (1, d),
+        (2, 2), ... where their products are formed; a zero product pairs to
+        the scalar 0, so the first failing pair is the first in that order
+        among all pairs.
         """
         key = (k, j)
         if key in self._grams:
@@ -224,21 +227,22 @@ class VCollection:
         )
         if bad is not None:
             return (bad[0] + 1, bad[1] + 1)
-        self._grams[key] = tuple(G)
+        G = self._grams[key] = tuple(G)
+        diagonal = all(len(row) == 1 and a in row for a, row in enumerate(G))
+        identity = diagonal and all(row[a] == 1 for a, row in enumerate(G))
+        self._gram_facts[key] = (diagonal, identity)
         return None
 
     def _orthogonal(self, k, j):
         """Whether V_kj is known to pass (V3) with a diagonal Gram matrix.
 
-        Only a cached Gram matrix is read. It holds nonzero values only, so
-        row c must be {c: g_c} with g_c nonzero; a zero element has an empty
-        row. The basis is then orthogonal in <X, Y> = tr(X tY), and so
-        linearly independent.
+        Only the facts recorded with a cached Gram matrix are read, so this
+        is False before v3_violation has passed V_kj. The Gram matrix holds
+        nonzero values only, so row c must be {c: g_c} with g_c nonzero; a
+        zero element has an empty row. The basis is then orthogonal in
+        <X, Y> = tr(X tY), and so linearly independent.
         """
-        G = self._grams.get((k, j))
-        return G is not None and all(
-            len(row) == 1 and a in row for a, row in enumerate(G)
-        )
+        return self._gram_facts.get((k, j), (False,))[0]
 
     def gram(self, k, j):
         """Gram matrix of the basis of V_kj in the scalar product of (V3).
@@ -276,10 +280,9 @@ class VCollection:
 
     def is_orthonormal(self):
         for k, j in self.spaces():
-            G = self.gram(k, j)
-            for a, row in enumerate(G):
-                if row != {a: 1}:
-                    return False
+            self.gram(k, j)
+            if not self._gram_facts[(k, j)][1]:
+                return False
         return True
 
     def __eq__(self, other):

@@ -3,8 +3,9 @@
 Starting from a realization with partition (n_1, ..., n_r), the new datum has
 partition (2n_1, n_1, ..., n_r). The new first column consists of the two
 identity slabs (I 0), (0 I) over block 1 and, for every old space V_k1 with
-basis {E_a}, the widened matrices (E_a 0) and (0 E_a). Every old space is
-also carried over unchanged with both indices shifted by one (the old first
+basis {E_a}, the widened matrices (E_a 0) and (0 E_a); (E_a 0) has the
+entries of E_a, so it is E_a's own stored tuple. Every old space is also
+carried over unchanged with both indices shifted by one (the old first
 column reappears as the new second column). Iterating from the rank-1 datum
 yields partitions (2^{r-1}, ..., 2, 1) with dim V_kj = 2^{k-j}.
 
@@ -39,9 +40,10 @@ def _double_unchecked(V):
     """The rank-raising step on basis entries, without verifying V.
 
     The result is canonical by construction, so it is stored unchecked: V's
-    elements are canonical, shifting every column of one element by the same
-    slab offset (0 or n_1, below 2 n_1) keeps it in range and row-major
-    sorted, and no value is new.
+    elements are canonical, shifting every column of one element by n_1
+    (below 2 n_1) keeps it in range and row-major sorted, and no value is
+    new. Only the identity slabs and the right slab (0 E) are allocated:
+    the left slab (E 0) and every carried-over space share V's tuples.
     """
     part = V.partition
     n1 = part.size(1)
@@ -54,11 +56,8 @@ def _double_unchecked(V):
     for k in range(2, part.r + 1):
         old = V.entries(k, 1)
         if old:
-            # (E 0) then (0 E): the same entries in the left or right slab
-            stored[(k + 1, 1)] = tuple(
-                tuple((u, half * n1 + v, e) for u, v, e in E)
-                for half in range(2)
-                for E in old
+            stored[(k + 1, 1)] = old + tuple(
+                tuple((u, n1 + v, e) for u, v, e in E) for E in old
             )
     for (k, j) in V.spaces():
         stored[(k + 1, j + 1)] = V.entries(k, j)
@@ -112,14 +111,15 @@ def iterate_construction(r):
     2..r is the rank-(r-1) result with every index shifted by one, so one
     verify_v_conditions of the result covers every step, and callers that
     need the guarantee run it once. Each step stores its entries unchecked
-    (see _double_unchecked), so building rank 7 takes about 0.3 ms and rank
-    10 about 2 ms. `conelab iterate` and `double` refuse their dense JSON
+    (see _double_unchecked), so building rank 7 takes about 0.15 ms and
+    rank 10 about 1 ms. `conelab iterate` and `double` refuse their dense JSON
     from rank 11 on (cli.MAX_DENSE_ENTRIES), before any verification, so
     the default cap of 13 binds only `conelab theorem` and library calls,
     where verification time and memory set it: `conelab theorem --rank 12`,
-    13 and 14 took 0.20, 0.40 and 0.72 s at peak RSS 33, 56 and 104 MB as
-    cold calls on a 2-vCPU VM with Python 3.11, 1.8-2x per rank (medians
-    of 3, see BENCH_21.json). The CONELAB_RANK_CAP variable lifts the cap.
+    13 and 14 took 0.28, 0.54 and 1.04 s at peak RSS 32, 52 and 94 MB as
+    cold calls on a busy 2-vCPU VM with Python 3.11, about 2x per rank
+    (medians of 5, see BENCH_23.json). The CONELAB_RANK_CAP variable lifts
+    the cap.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("rank must be a positive integer")

@@ -60,6 +60,8 @@ def exact_div(a, b):
 
 def normalize_rational(x):
     """Collapse Fractions with denominator 1 to plain ints."""
+    if type(x) is int:  # spares the ABC instance check on the common case
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     return x

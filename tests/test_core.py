@@ -326,6 +326,77 @@ def test_verify_scalar_products_computed_once(monkeypatch):
     assert len(calls) == before
 
 
+def _gram_sources():
+    """Doubled ranks 1-8, rank-3 cones and duals, and seeded variants and
+    entry mutants of them, many failing (V3) or losing independence."""
+    import itertools
+
+    from conelab import rank3
+    from conelab.doubling import iterate_construction
+    from tests.test_dense_oracle import _mutants
+
+    rng = random.Random(23)
+    doubled = [iterate_construction(r) for r in range(1, 9)]
+    cones = []
+    for F in (rank3.bundled_family_3_5_7(), rank3.composition_family(4, 8),
+              rank3.composition_family(1, 2)):
+        cones += [rank3.build_rank3_cone(F), rank3.build_rank3_dual(F)]
+    sources = doubled + cones
+    for V in doubled[2:7] + cones:
+        sources += [_variant(V, rng) for _ in range(10)]
+    for V in doubled[2:5] + cones:
+        sources += itertools.islice(_mutants(V, rng), 10)
+    return sources
+
+
+def _orthonormal_by_rows(V):
+    """is_orthonormal as a walk over every Gram row, space by space."""
+    for key in V.spaces():
+        if any(row != {a: 1} for a, row in enumerate(V.gram(*key))):
+            return False
+    return True
+
+
+def _outcome_of(call, V):
+    try:
+        return call(V)
+    except StructureError as exc:
+        return "StructureError: %s" % exc
+
+
+def test_cached_gram_facts_match_the_gram_rows():
+    # the diagonal and identity flags recorded with each cached Gram matrix
+    # equal a reading of its rows; before any Gram is cached _orthogonal is
+    # False and leaves nothing behind
+    failing_v3 = rescaled = 0
+    for source in _gram_sources():
+        # a fresh copy: building a rank-3 cone verifies it
+        V = VCollection.from_entries(
+            source.partition, {key: source.entries(*key) for key in source.spaces()}
+        )
+        assert not any(V._orthogonal(*key) for key in V.spaces())
+        assert V._grams == {} and V._gram_facts == {}
+        report = _outcome_of(verify_v_conditions, V)
+        for key in V.spaces():
+            if V.v3_violation(*key) is not None:
+                failing_v3 += 1
+                assert not V._orthogonal(*key) and key not in V._gram_facts
+                message = r"^\(V3\) violation in V_%d%d" % key
+                with pytest.raises(StructureError, match=message):
+                    V.gram(*key)
+                continue
+            G = V.gram(*key)
+            diagonal = all(list(row) == [a] and row[a] for a, row in enumerate(G))
+            identity = all(row == {a: 1} for a, row in enumerate(G))
+            rescaled += diagonal and not identity
+            assert V._orthogonal(*key) == diagonal
+            assert V._gram_facts[key] == (diagonal, identity)
+        assert _outcome_of(VCollection.is_orthonormal, V) == _outcome_of(_orthonormal_by_rows, V)
+        if not isinstance(report, str):
+            assert report.orthonormal == (report.v3.passed and _orthonormal_by_rows(V))
+    assert failing_v3 > 20 and rescaled > 20
+
+
 def _counting_decisions(monkeypatch):
     """Wrap the (V1)/(V2) kernel; the list it returns collects each call's
     count of nonzero products decided against a span."""

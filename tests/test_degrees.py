@@ -177,3 +177,25 @@ def test_dual_table_is_an_involution_fixing_the_extremal_tables():
 def test_dual_degrees_self_dual_cases():
     for n in (1, 2, 4, 8):
         assert dual_degrees_rank3(n, n, n) == (3, 2, 1)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_sigma_stage_states_of_the_extremal_tables(shift):
+    # after stage k of step i slot m holds 0 for m <= i, otherwise
+    # 2^max(1, m - k) on the doubled table 2^(k-j) (shift 0) and
+    # 2^max(0, m - k - 1) on the one-slab table 2^(k-j-1) (shift 1), and
+    # every epsilon is 1
+    for r in range(2, 41):
+        table = DimTable(r, {(k, j): 2 ** (k - j - shift)
+                             for k in range(2, r + 1) for j in range(1, k)})
+        sigma = sigma_from_dims(table)
+        assert [step.i for step in sigma.trace] == list(range(1, r))
+        for step in sigma.trace:
+            i = step.i
+            assert [k for k, _ in step.stages] == list(range(i, r))
+            for k, l_vec in step.stages:
+                assert l_vec == tuple(
+                    0 if m <= i else 2 ** max(1 - shift, m - k - shift)
+                    for m in range(1, r + 1)
+                )
+            assert step.epsilon == (1,) * (r - i)

@@ -188,6 +188,11 @@ def test_iterate_construction_is_the_closed_form(r):
     assert V.spaces() == V.pairs()
     for k, j in V.pairs():
         assert V.entries(k, j) == _closed_form(r, k, j)
+    # and r - 1 copying steps (_copying_double below) build the same
+    W = VCollection(BlockPartition((1,)), {})
+    for _ in range(r - 1):
+        W = _copying_double(W)
+    assert V == W
 
 
 @pytest.mark.parametrize("r", range(3, 8))
@@ -234,11 +239,27 @@ def test_doubled_bases_are_orthonormal_in_v3(r):
                 assert _sparse_product(X, Y, True) == (identity if s == t else {})
 
 
-@pytest.mark.parametrize("family", ["3_5_7", "4_8", "1_2"])
-@pytest.mark.parametrize("dual", [False, True])
-def test_double_of_rank3_cones_passes_with_the_doubled_table(family, dual):
-    # the rank-free statement of the module docstring on inputs that are
-    # not doubled: d_21 = 2, d_(k+1)1 = 2 d_k1, d_(k+1)(j+1) = d_kj
+# the step with (E 0) built as a fresh copy of each E: the oracle that the
+# shared left slab must reproduce
+
+
+def _copying_double(V):
+    """The doubling step, every new first-column element written out anew."""
+    part = V.partition
+    n1 = part.size(1)
+    entries = {(2, 1): [[(t, half * n1 + t, 1) for t in range(n1)] for half in range(2)]}
+    for k in range(2, part.r + 1):
+        old = V.entries(k, 1)
+        if old:
+            entries[(k + 1, 1)] = [
+                [(u, half * n1 + v, e) for u, v, e in E] for half in range(2) for E in old
+            ]
+    for k, j in V.spaces():
+        entries[(k + 1, j + 1)] = V.entries(k, j)
+    return VCollection.from_entries(BlockPartition((2 * n1,) + part.sizes), entries)
+
+
+def _rank3_input(family, dual):
     from conelab import rank3
 
     F = (
@@ -246,8 +267,18 @@ def test_double_of_rank3_cones_passes_with_the_doubled_table(family, dual):
         if family == "3_5_7"
         else rank3.composition_family(*map(int, family.split("_")))
     )
-    V = (rank3.build_rank3_dual if dual else rank3.build_rank3_cone)(F)
+    return (rank3.build_rank3_dual if dual else rank3.build_rank3_cone)(F)
+
+
+@pytest.mark.parametrize("family", ["3_5_7", "4_8", "1_2"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_double_of_rank3_cones_passes_with_the_doubled_table(family, dual):
+    # the rank-free statement of the module docstring on inputs that are
+    # not doubled: d_21 = 2, d_(k+1)1 = 2 d_k1, d_(k+1)(j+1) = d_kj; the
+    # result is the copying step's
+    V = _rank3_input(family, dual)
     W = double(V)
+    assert W == _copying_double(V)
     assert verify_v_conditions(W).passed
     t, u = V.dims_table(), W.dims_table()
     assert u.d(2, 1) == 2
@@ -255,3 +286,19 @@ def test_double_of_rank3_cones_passes_with_the_doubled_table(family, dual):
         assert u.d(k + 1, 1) == 2 * t.d(k, 1)
         for j in range(1, k):
             assert u.d(k + 1, j + 1) == t.d(k, j)
+
+
+@pytest.mark.parametrize("source", ["doubled-6", "3_5_7-cone", "4_8-dual"])
+def test_left_slab_is_the_old_first_column(source):
+    # the step allocates no (E 0): W_(k+1)1 starts with V_k1's own elements,
+    # followed by as many right-slab copies
+    if source.startswith("doubled"):
+        V = iterate_construction(int(source[-1]))
+    else:
+        family, side = source.split("-")
+        V = _rank3_input(family, side == "dual")
+    W = double(V)
+    for k in range(2, V.r + 1):
+        old, new = V.entries(k, 1), W.entries(k + 1, 1)
+        assert len(new) == 2 * len(old)
+        assert all(a is b for a, b in zip(new, old))
