@@ -13,11 +13,12 @@ Three closure conditions make this work, checked here on basis elements:
   (V2)  X_ki * t(X_ji) lies in V_kj         for i < j < k,
   (V3)  X_kj * t(Y_kj) + Y_kj * t(X_kj) is a multiple of the identity.
 
-The group action (rho_act), the group product (group_compose) and the block
-LDL elimination (ldl_decompose) work block by block on sparse blocks built
-from the basis entries, and build no N x N matrix; embed and project give
-the dense N x N view of an element. Everything is exact rational
-arithmetic; no floats enter at any point.
+The group action (rho_act) and the group product (group_compose) work block
+by block on sparse blocks built from the basis entries, and build no N x N
+matrix; embed and project give the dense N x N view of an element. The
+block LDL elimination (ldl_decompose) is the group action applied one
+column at a time, so it has no block arithmetic of its own. Everything is
+exact rational arithmetic; no floats enter at any point.
 """
 
 from __future__ import annotations
@@ -600,6 +601,16 @@ def rho_act(h, x, V):
     are scaled to integer values by L_h and L_x first, and the result is
     divided by L_h^2 L_x at the end; scaling keeps every check as it is.
     """
+    try:
+        return _act(h, x, V)
+    except NotInSpaceError as exc:
+        raise ClosureViolationError(
+            "action left the space: %s" % exc, exc.block
+        ) from exc
+
+
+def _act(h, x, V):
+    """rho_act, raising the NotInSpaceError of the first offending block."""
     sizes = V.partition.sizes
     r = V.r
     Lh, a, lower = _integer_scaled(h.diag, h.lower)
@@ -637,20 +648,15 @@ def rho_act(h, x, V):
                 if T is not None and Y[(k, m)]:
                     kernels.block_addmul(acc, Y[(k, m)], T, lower=j == k)
             Z[(k, j)] = kernels.block_strip(acc)
-    try:
-        diag = []
-        for i in range(1, r + 1):
-            c = kernels.block_scalar(Z[(i, i)], sizes[i - 1])
-            if c is None:
-                raise NotInSpaceError(
-                    "diagonal block %d is not a scalar matrix" % i, ("diag", i)
-                )
-            diag.append(c + a[i - 1] * a[i - 1] * d[i - 1])
-        off = _lower_coords(V, Z)
-    except NotInSpaceError as exc:
-        raise ClosureViolationError(
-            "action left the space: %s" % exc, exc.block
-        ) from exc
+    diag = []
+    for i in range(1, r + 1):
+        c = kernels.block_scalar(Z[(i, i)], sizes[i - 1])
+        if c is None:
+            raise NotInSpaceError(
+                "diagonal block %d is not a scalar matrix" % i, ("diag", i)
+            )
+        diag.append(c + a[i - 1] * a[i - 1] * d[i - 1])
+    off = _lower_coords(V, Z)
     L = Lh * Lh * Lx
     if L == 1:
         return ConeElement(diag=tuple(diag), off=off)
@@ -862,63 +868,50 @@ class LdlResult(Record):
 
 
 def ldl_decompose(x, V):
-    """Block elimination of a ConeElement, entirely inside V.
+    """Block elimination of a ConeElement: the group action, one column a step.
 
-    At step j the pivot is the current x_jj; the column blocks X_kj give the
-    factor column, the remaining blocks pick up -X_kj t(X_j'j) / d_j, and the
-    diagonal entries drop by the (V3) scalar of X_kj with itself over d_j.
-    A zero pivot over a nonzero column ends the elimination as "indefinite":
-    the remaining matrix then has a principal minor [[0, a], [a, x_kk]] of
-    determinant -a^2 < 0, so x has eigenvalues of both signs. (V1)-(V3) keep
-    every intermediate block inside its declared span, which is what lets
-    the factor be read back in coordinates at the end (_lower_coords raises
-    NotInSpaceError at the first block outside). Blocks are sparse row-dict
-    blocks (see _kernels); no N x N matrix is built.
+    At step j the pivot d_j is the current x_jj, and the unit column l_kj =
+    x_kj / d_j (k > j) is read off the coordinates. x then moves to h.x with
+    h = I - l te_j through the body of rho_act, which clears column j and
+    leaves the Schur complement x_km - X_kj t(X_mj) / d_j (j < m <= k) to
+    its right. U = I + sum_j l_j te_j has the l_kj as coordinates, and x =
+    U D tU with D the pivot block diagonal. A step over a zero column is the
+    identity and does not run. A zero pivot over a nonzero column ends the
+    elimination as "indefinite": the remaining matrix then has a principal
+    minor [[0, a], [a, x_kk]] of determinant -a^2 < 0, so x has eigenvalues
+    of both signs. No N x N matrix is built.
+
+    Failure contract: where (V3) or (V2) fails, a step can leave V, and it
+    raises the NotInSpaceError that embedding, multiplying and projecting
+    that step would raise ("diagonal block k is not a scalar matrix", or a
+    block outside its span). A dependent basis raises StructureError at the
+    first step's span solve; when no step runs, none is solved.
     """
-    sizes = V.partition.sizes
     r = V.r
-    diag = list(x.diag)
-    blocks = _sparse_blocks(V, x.off)
     pivots = []
-    unit_cols = {}
+    unit = {}
     for j in range(1, r + 1):
-        d = diag[j - 1]
+        d = x.diag[j - 1]
         pivots.append(d)
-        # blocks that elimination cancelled exactly drop out of the column
-        col = []
-        for k in range(j + 1, r + 1):
-            X = blocks.pop((k, j), None)
-            if X is not None and kernels.block_strip(X):
-                col.append((k, X, kernels.block_transpose(X)))
-        if d == 0:
-            if col:
-                return LdlResult(pivots=tuple(pivots), unit=None, status="indefinite")
+        col = [(k, j) for k in range(j + 1, r + 1) if any(x.off.get((k, j), ()))]
+        if not col:
             continue
+        if d == 0:
+            return LdlResult(pivots=tuple(pivots), unit=None, status="indefinite")
         inv = linalg.exact_inv(d)
-        for idx, (k, X, XT) in enumerate(col):
-            L = unit_cols[(k, j)] = kernels.block_add({}, X, inv)
-            c = kernels.block_scalar(
-                kernels.block_addmul({}, X, XT, lower=True), sizes[k - 1]
-            )
-            if c is None:
-                raise StructureError(
-                    "(V3) violation during elimination at block (%d, %d)" % (k, j)
-                )
-            if c:
-                diag[k - 1] = diag[k - 1] - c * inv
-            if idx:
-                # block (k, j2) picks up -L_kj t(X_j2j) for each j2 < k in col
-                negL = {u: {v: -x for v, x in row.items()} for u, row in L.items()}
-                for j2, _, YT in col[:idx]:
-                    kernels.block_addmul(blocks.setdefault((k, j2), {}), negL, YT)
+        for key in col:
+            unit[key] = tuple(linalg.normalize_rational(c * inv) for c in x.off[key])
+        h = GroupElement(diag=(1,) * r, lower={key: [-c for c in unit[key]] for key in col})
+        x = _act(h, x, V)
     if all(p > 0 for p in pivots):
         status = "positive"
     elif all(p >= 0 for p in pivots):
         status = "boundary"
     else:
         status = "indefinite"
-    unit = GroupElement(diag=(1,) * r, lower=_lower_coords(V, unit_cols))
-    return LdlResult(pivots=tuple(pivots), unit=unit, status=status)
+    return LdlResult(
+        pivots=tuple(pivots), unit=group_element(V, (1,) * r, unit), status=status
+    )
 
 
 def is_member(x, V):

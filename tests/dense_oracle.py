@@ -13,8 +13,11 @@ it learned to skip zeros: it parses every value and builds dense matrices.
 dense_rho_act, dense_group_compose and dense_ldl_decompose are the group
 action, the group product and the block elimination as they ran on dense
 matrices: the action and the product embed into N x N matrices, multiply and
-project back, and the elimination keeps every block as a dense matrix.
-scalar_mul and mat_sub are the dense matrix operations it needs.
+project back, and the elimination keeps every block as a dense matrix, with
+Schur updates of its own. scalar_mul and mat_sub are the dense matrix
+operations it needs. dense_ldl_steps is ldl_decompose's own step order
+through embed, multiply and project, so a step that leaves V raises
+project's NotInSpaceError.
 
 dense_solve_linear is linalg.solve_linear as it ran over Fractions: Gaussian
 elimination with the first nonzero pivot in each column, then back
@@ -363,6 +366,12 @@ def dense_group_compose(h1, h2, V):
         ) from exc
 
 
+def _status(pivots):
+    if all(p > 0 for p in pivots):
+        return "positive"
+    return "boundary" if all(p >= 0 for p in pivots) else "indefinite"
+
+
 def dense_ldl_decompose(x, V):
     """ldl_decompose on dense blocks."""
     r = V.partition.r
@@ -409,12 +418,7 @@ def dense_ldl_decompose(x, V):
                     if cur is not None
                     else scalar_mul(-1, update)
                 )
-    if all(p > 0 for p in pivots):
-        status = "positive"
-    elif all(p >= 0 for p in pivots):
-        status = "boundary"
-    else:
-        status = "indefinite"
+    status = _status(pivots)
     lower = {}
     for (k, j), L in unit_cols.items():
         coords = V.solver(k, j).solve(vec_matrix(L))
@@ -428,4 +432,29 @@ def dense_ldl_decompose(x, V):
         pivots=tuple(pivots),
         unit=group_element(V, (1,) * r, lower),
         status=status,
+    )
+
+
+def dense_ldl_steps(x, V):
+    """ldl_decompose with each step h.x, h = I - l te_j, formed as N x N matrices."""
+    r = V.partition.r
+    pivots = []
+    unit = {}
+    for j in range(1, r + 1):
+        d = x.diag[j - 1]
+        pivots.append(d)
+        col = [(k, j) for k in range(j + 1, r + 1) if any(x.off.get((k, j), ()))]
+        if not col:
+            continue
+        if d == 0:
+            return LdlResult(pivots=tuple(pivots), unit=None, status="indefinite")
+        for key in col:
+            unit[key] = tuple(Fraction(c) / d for c in x.off[key])
+        h = group_element(V, (1,) * r, {key: [-c for c in unit[key]] for key in col})
+        H = embed_group(h, V)
+        x = project(kernels.mat_mul_t(kernels.mat_mul(H, embed(x, V)), H), V)
+    return LdlResult(
+        pivots=tuple(pivots),
+        unit=group_element(V, (1,) * r, unit),
+        status=_status(pivots),
     )

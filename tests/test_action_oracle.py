@@ -5,7 +5,9 @@ bodies they replaced live in dense_oracle.py. Both must give equal results on
 interior, boundary, indefinite, unconstrained and zero-pivot points, and the
 same exception type, block and message when the action leaves the space.
 rho_act and group_compose scale Fraction inputs to integers and divide once at
-the end; points whose every coordinate is a Fraction exercise that path.
+the end; points whose every coordinate is a Fraction exercise that path, and
+bases with entries other than 1 make the coordinates read back Fractions.
+ldl_decompose is that action applied one column at a time.
 """
 
 import random
@@ -30,6 +32,7 @@ from tests.dense_oracle import (
     dense_basis,
     dense_group_compose,
     dense_ldl_decompose,
+    dense_ldl_steps,
     dense_rho_act,
 )
 
@@ -40,6 +43,11 @@ def _rank3(F, side):
 
 CONES = {
     "omega2": lambda: VCollection(BlockPartition((2, 1)), {(2, 1): [[[1, 0]], [[0, 1]]]}),
+    # bases with entries other than 1: coordinates read back as Fractions
+    "scaled-1_1": lambda: VCollection(BlockPartition((1, 1)), {(2, 1): [[[2]]]}),
+    "scaled-2_1": lambda: VCollection(
+        BlockPartition((2, 1)), {(2, 1): [[[2, 0]], [[0, 3]]]}
+    ),
     **{"doubled-%d" % r: (lambda r=r: iterate_construction(r)) for r in range(2, 8)},
     **{
         "%s-%s" % (name, side): (lambda make=make, side=side: _rank3(make(), side))
@@ -123,7 +131,13 @@ def _flipped(V, rng):
 
 @pytest.mark.parametrize("name", ["doubled-3", "doubled-4", "3_5_7-cone", "8_16-dual"])
 def test_flipped_realization_matches_dense_oracle(name):
-    """On a realization with one entry flipped, both paths fail alike."""
+    """On a realization with one entry flipped, both paths fail alike.
+
+    ldl_decompose is compared exactly with the dense oracle of its own step
+    order. The older elimination with Schur updates of its own checks other
+    blocks in another order, so against it only the outcome must agree: both
+    raise, or both return equal results.
+    """
     rng = random.Random(name)
     sampler = RationalSampler(seed=len(name))
     failures = set()
@@ -134,7 +148,12 @@ def test_flipped_realization_matches_dense_oracle(name):
         got = _outcome(rho_act, h, x, W)
         assert got == _outcome(dense_rho_act, h, x, W)
         assert _outcome(group_compose, h, h2, W) == _outcome(dense_group_compose, h, h2, W)
-        assert _outcome(ldl_decompose, x, W) == _outcome(dense_ldl_decompose, x, W)
+        res = _outcome(ldl_decompose, x, W)
+        assert res == _outcome(dense_ldl_steps, x, W)
+        old = _outcome(dense_ldl_decompose, x, W)
+        assert isinstance(res, tuple) == isinstance(old, tuple)
+        if not isinstance(res, tuple):
+            assert res == old
         if isinstance(got, tuple):
             failures.add(got[0])
     assert ClosureViolationError in failures

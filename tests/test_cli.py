@@ -49,15 +49,26 @@ def test_sigma_family_dims(capsys):
     assert [s["i"] for s in d["trace"]["steps"]] == [1, 2, 3]
 
 
-def test_sigma_family_dims_limit(capsys, monkeypatch):
+def _write_dims(tmp_path, r):
+    """A --dims file holding the doubled table d_kj = 2^(k-j) of rank r."""
+    path = tmp_path / ("dims%d.json" % r)
+    serialize.dump_file(str(path), serialize.dims_to_dict(cli._extremal_dims(r)))
+    return str(path)
+
+
+def test_sigma_family_dims_limit(capsys, monkeypatch, tmp_path):
+    # --family-dims R and a --dims table of rank R share the limit
     limit = cli.MAX_FAMILY_DIMS
-    code, out, err = run(capsys, "sigma", "--family-dims", str(limit + 1))
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and str(limit) in err
-    assert "Traceback" not in err
-    monkeypatch.setattr(cli, "MAX_FAMILY_DIMS", 4)
-    assert run_json(capsys, "sigma", "--family-dims", "4")["degrees"] == [1, 2, 4, 8]
-    assert run(capsys, "sigma", "--family-dims", "5")[0] == 1
+    dims_file = lambda r: _write_dims(tmp_path, r)
+    for flag, arg in (("--family-dims", str), ("--dims", dims_file)):
+        code, out, err = run(capsys, "sigma", flag, arg(limit + 1))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and str(limit) in err
+        assert "Traceback" not in err
+        with monkeypatch.context() as m:
+            m.setattr(cli, "MAX_FAMILY_DIMS", 4)
+            assert run_json(capsys, "sigma", flag, arg(4))["degrees"] == [1, 2, 4, 8]
+            assert run(capsys, "sigma", flag, arg(5))[0] == 1
 
 
 def test_sigma_dims_file(capsys, tmp_path):
@@ -232,6 +243,49 @@ def test_member_v2_failure_names_the_block(capsys, tmp_path):
     assert err == (
         "error: block (3, 2) must vanish (zero-dimensional space) (block (3, 2))\n"
     )
+
+
+_DEPENDENT_CONE = {
+    "partition": [1, 1],
+    "spaces": [{"k": 2, "j": 1, "basis": [["1"], ["2"]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "cone, point, err",
+    [
+        # (V3): X tX = diag(1, 0), so step 1 leaves block 2 not scalar
+        (
+            {
+                "partition": [2, 2],
+                "spaces": [{"k": 2, "j": 1, "basis": [["1", "0", "0", "0"]]}],
+            },
+            {"diag": [1, 1], "off": [{"k": 2, "j": 1, "coords": [1]}]},
+            "diagonal block 2 is not a scalar matrix (block ('diag', 2))",
+        ),
+        # a dependent basis: the first step's span solve names it
+        (
+            _DEPENDENT_CONE,
+            {"diag": [1, 1], "off": [{"k": 2, "j": 1, "coords": [1, 0]}]},
+            "linearly dependent basis in V_21 (vector 2)",
+        ),
+        # no step runs on a diagonal point: the rebuild certificate names it
+        (
+            _DEPENDENT_CONE,
+            {"diag": [1, 1]},
+            "linearly dependent basis in V_21 (vector 2)",
+        ),
+    ],
+    ids=["v3", "dependent", "dependent-diagonal"],
+)
+def test_member_on_a_broken_cone_exit_2(capsys, tmp_path, cone, point, err):
+    # a step forms only (V2) and (V3) products; for a (V2) failure see
+    # test_member_v2_failure_names_the_block
+    cone_path, point_path = tmp_path / "cone.json", tmp_path / "point.json"
+    cone_path.write_text(json.dumps(cone), encoding="utf-8")
+    point_path.write_text(json.dumps(point), encoding="utf-8")
+    got = run(capsys, "member", "--cone", str(cone_path), "--point", str(point_path))
+    assert got == (2, "", "error: %s\n" % err)
 
 
 @pytest.mark.parametrize("value", [True, -1, 2.0, "2"])

@@ -617,6 +617,39 @@ def test_v2_trace_identity_fails_where_v1_and_v3_pass():
     assert report == dense_verify(V)
 
 
+def test_v2_trace_identity_on_frames_with_off_diagonal_entries():
+    # partition (2, 1, 1) with V_21 = V_31 = span{(1 1)}: each frame is
+    # t(1 1)(1 1) / 2, whose off-diagonal entries come from pairing the two
+    # entries of one row, and its trace with the other frame sums them
+    from tests.dense_oracle import dense_verify
+
+    row = [[1, 1]]
+    V = VCollection(
+        BlockPartition((2, 1, 1)), {(2, 1): [row], (3, 1): [row], (3, 2): [[[1]]]}
+    )
+    half = Fraction(1, 2)
+    for key in ((2, 1), (3, 1)):
+        assert V.frame(*key) == ([half, half], {(0, 1): half, (1, 0): half})
+    assert core._v2_excess(V, 1, 2, 3) == 0
+    report = verify_v_conditions(V)
+    assert report.passed and report == dense_verify(V)
+    # without V_32, X_31 t(X_21) = [2] leaves it: the trace is 1 against 0
+    V = VCollection(BlockPartition((2, 1, 1)), {(2, 1): [row], (3, 1): [row]})
+    assert core._v2_excess(V, 1, 2, 3) == 1
+    report = verify_v_conditions(V)
+    assert report.v1.passed and report.v3.passed
+    assert report.v2.counterexample == (1, 2, 3, 1, 1)
+    assert report == dense_verify(V)
+    # X_32 X_21 = (1 2) is not in V_31 = span{(2 1)}
+    V = VCollection(
+        BlockPartition((2, 1, 1)),
+        {(2, 1): [[[1, 2]]], (3, 1): [[[2, 1]]], (3, 2): [[[1]]]},
+    )
+    report = verify_v_conditions(V)
+    assert report.v1.counterexample == (1, 2, 3, 1, 1)
+    assert report == dense_verify(V)
+
+
 def test_full_targets_hold_every_product():
     # verify_v_conditions runs no kernel on a triple whose target is full;
     # run directly on each such triple, the kernel finds no failing pair:

@@ -656,11 +656,22 @@ def test_coupling_refuses_broken_family_with_its_pair(monkeypatch):
         coupling_decomposition_check(identity_rank3(G), identity_rank3_dual(G), G)
 
 
-def test_coupling_decomposition_preconditions(fixture_family):
+@pytest.mark.parametrize(
+    "primal, dual, message",
+    [
+        ((-1, 1, 1), (1, 1, 1), "x11 must be positive"),
+        ((1, 0, 1), (1, 1, 1), "x22 - |y|^2/x11 must be positive"),
+        ((1, 1, 1), (1, 1, -1), "xi33 must be positive"),
+        ((1, 1, 1), (1, 0, 1), "xi22 - |xi|^2/xi33 must be positive"),
+    ],
+    ids=["x11", "primal-schur", "xi33", "dual-schur"],
+)
+def test_coupling_decomposition_preconditions(fixture_family, primal, dual, message):
     F = fixture_family
-    bad = rank3_element(F, -1, 1, 1)
-    with pytest.raises(StructureError):
-        coupling_decomposition_check(bad, identity_rank3_dual(F), F)
+    X, Xi = rank3_element(F, *primal), dual_rank3_element(F, *dual)
+    with pytest.raises(StructureError) as exc:
+        coupling_decomposition_check(X, Xi, F)
+    assert str(exc.value) == message
 
 
 # closed-form invariants and relative invariance
