@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text):
-    """argparse type for ranks, counts and sampler bounds: an integer >= 1."""
+    """argparse type for ranks and counts: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -216,7 +216,7 @@ def cmd_member(args):
             raise CommandFailure(
                 EXIT_INTERNAL, "the LDL factors do not rebuild the point"
             )
-    _emit(serialize.ldl_to_dict(result, approx=args.approx))
+    _emit(serialize.ldl_to_dict(result))
     return EXIT_OK if result.is_member else EXIT_SEMANTIC
 
 
@@ -306,10 +306,7 @@ def cmd_rank3_det(args):
             "closed form %s disagrees with elimination oracle %s"
             % (serialize.rational_to_str(value), serialize.rational_to_str(oracle)),
         )
-    out = {"det": serialize.rational_to_str(value)}
-    if args.approx:
-        out["det_approx"] = serialize.approx_float(value)
-    _emit(out)
+    _emit({"det": serialize.rational_to_str(value)})
     return EXIT_OK
 
 
@@ -321,7 +318,7 @@ def cmd_rank3_duality(args):
     if _over_limit("--samples", count, MAX_DUALITY_SAMPLES):
         return EXIT_INPUT
     F = _load_family(args.family)
-    sampler = RationalSampler(args.seed, args.max_numerator, args.max_denominator)
+    sampler = RationalSampler(args.seed)
     V = rank3.build_rank3_cone(F)
     Vd = rank3.build_rank3_dual(F)
     for _ in range(count):
@@ -338,15 +335,6 @@ def cmd_rank3_duality(args):
             )
     _emit({"samples": count, "seed": args.seed, "passed": True})
     return EXIT_OK
-
-
-def _add_sampler_flags(p):
-    p.add_argument("--samples", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-numerator", type=_positive_int, default=100, dest="max_numerator")
-    p.add_argument(
-        "--max-denominator", type=_positive_int, default=10, dest="max_denominator"
-    )
 
 
 def build_parser():
@@ -390,7 +378,6 @@ def build_parser():
     )
     p.add_argument("--cone", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--approx", action="store_true")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("verify", help="check conditions (V1)-(V3) for a realization")
@@ -426,12 +413,12 @@ def build_parser():
     p.add_argument("--family", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--approx", action="store_true")
     p.set_defaults(func=cmd_rank3_det)
 
     p = r3sub.add_parser("duality", help="sampled coupling decomposition checks")
     p.add_argument("--family", required=True)
-    _add_sampler_flags(p)
+    p.add_argument("--samples", type=_positive_int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_rank3_duality)
 
     return parser

@@ -912,7 +912,3 @@ def ldl_decompose(x, V):
     return LdlResult(
         pivots=tuple(pivots), unit=group_element(V, (1,) * r, unit), status=status
     )
-
-
-def is_member(x, V):
-    return ldl_decompose(x, V).is_member

@@ -25,15 +25,19 @@ to an old one, or to none:
 = 0; on W_21 the slabs give I and 0. The dims table of W is d_21 = 2,
 d_(k+1)1 = 2 d_k1 and d_(k+1)(j+1) = d_kj. Verification does not rely on
 this: it decides every product of a doubled realization afresh.
-"""
 
-import os
+`double` and `iterate_construction` refuse ranks above DEFAULT_RANK_CAP =
+13, a constant. `conelab iterate` and `double` refuse their dense JSON from
+rank 11 on (cli.MAX_DENSE_ENTRIES), so the cap binds only `conelab theorem`
+and library calls, where verification time and memory grow about 2x per
+rank: `conelab theorem --rank 13` and 14 took 0.54 and 1.04 s at peak RSS
+52 and 94 MB as cold calls on a 2-vCPU VM with Python 3.11 (BENCH_23.json).
+"""
 
 from conelab.core import BlockPartition, VCollection, verify_v_conditions
 from conelab.errors import StructureError
 
 DEFAULT_RANK_CAP = 13
-RANK_CAP_ENV = "CONELAB_RANK_CAP"
 
 
 def _double_unchecked(V):
@@ -67,7 +71,7 @@ def _double_unchecked(V):
 def double(V):
     """One rank-raising step; the input must pass verify_v_conditions.
 
-    The result's rank V.r + 1 must not exceed rank_cap(), as for
+    The result's rank V.r + 1 must not exceed DEFAULT_RANK_CAP, as for
     iterate_construction.
     """
     _check_rank(V.r + 1)
@@ -79,28 +83,9 @@ def double(V):
     return _double_unchecked(V)
 
 
-def rank_cap():
-    raw = os.environ.get(RANK_CAP_ENV)
-    if raw is None:
-        return DEFAULT_RANK_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise StructureError(
-            "%s must be an integer, got %r" % (RANK_CAP_ENV, raw)
-        ) from None
-    if cap < 1:
-        raise StructureError("%s must be >= 1" % RANK_CAP_ENV)
-    return cap
-
-
 def _check_rank(r):
-    limit = rank_cap()
-    if r > limit:
-        raise StructureError(
-            "rank %d exceeds the cap %d (set %s to raise it)"
-            % (r, limit, RANK_CAP_ENV)
-        )
+    if r > DEFAULT_RANK_CAP:
+        raise StructureError("rank %d exceeds the cap %d" % (r, DEFAULT_RANK_CAP))
 
 
 def iterate_construction(r):
@@ -110,16 +95,8 @@ def iterate_construction(r):
     No step verifies its input: the rank-r result restricted to blocks
     2..r is the rank-(r-1) result with every index shifted by one, so one
     verify_v_conditions of the result covers every step, and callers that
-    need the guarantee run it once. Each step stores its entries unchecked
-    (see _double_unchecked), so building rank 7 takes about 0.15 ms and
-    rank 10 about 1 ms. `conelab iterate` and `double` refuse their dense JSON
-    from rank 11 on (cli.MAX_DENSE_ENTRIES), before any verification, so
-    the default cap of 13 binds only `conelab theorem` and library calls,
-    where verification time and memory set it: `conelab theorem --rank 12`,
-    13 and 14 took 0.28, 0.54 and 1.04 s at peak RSS 32, 52 and 94 MB as
-    cold calls on a busy 2-vCPU VM with Python 3.11, about 2x per rank
-    (medians of 5, see BENCH_23.json). The CONELAB_RANK_CAP variable lifts
-    the cap.
+    need the guarantee run it once. Building rank 10 takes about 1 ms; the
+    cost is in verifying, which sets the cap (see the module docstring).
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise StructureError("rank must be a positive integer")

@@ -395,14 +395,6 @@ def dual_rank3_element(F, xi11, xi22, xi33, xi=(), eta=(), zeta=()):
     return _checked_point(DualRank3Element, F, (xi11, xi22, xi33), (xi, eta, zeta))
 
 
-def identity_rank3(F):
-    return rank3_element(F, 1, 1, 1)
-
-
-def identity_rank3_dual(F):
-    return dual_rank3_element(F, 1, 1, 1)
-
-
 # A dual point of F is the primal point of dual_family(F) whose matrix is its
 # own with the blocks reversed. The point conversions read only the shape
 # (r, s, n) of a family, so they get the swapped shape, not dual_family(F).

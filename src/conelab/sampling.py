@@ -83,7 +83,3 @@ class RationalSampler:
     def interior_rank3_dual(self, F, Vd=None):
         Vd = Vd if Vd is not None else rank3.build_rank3_dual(F)
         return rank3.dual_from_cone_element(self.interior_element(Vd), F)
-
-    def boundary_rank3(self, F, V=None, zeros=1):
-        V = V if V is not None else rank3.build_rank3_cone(F)
-        return rank3.from_cone_element(self.boundary_element(V, zeros=zeros), F)

@@ -73,16 +73,6 @@ def rational_to_str(value):
         raise _too_long("cannot write a value of") from exc
 
 
-def approx_float(value):
-    """float(value), refused when value is beyond the float range."""
-    try:
-        return float(Fraction(value))
-    except OverflowError as exc:
-        raise SerializationError(
-            "cannot approximate a value beyond the float range"
-        ) from exc
-
-
 def _rat_list(values):
     return [rational_to_str(v) for v in values]
 
@@ -355,7 +345,7 @@ def verification_report_to_dict(report):
     }
 
 
-def ldl_to_dict(result, approx=False):
+def ldl_to_dict(result):
     out = {
         "member": result.is_member,
         "status": result.status,
@@ -363,8 +353,6 @@ def ldl_to_dict(result, approx=False):
     }
     if result.unit is not None:
         out["unit"] = group_to_dict(result.unit)
-    if approx:
-        out["pivots_approx"] = [approx_float(p) for p in result.pivots]
     return out
 
 

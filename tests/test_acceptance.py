@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from conelab import cli
-from conelab.core import embed, is_member, verify_v_conditions
+from conelab.core import embed, ldl_decompose, verify_v_conditions
 from conelab.degrees import (
     DimTable,
     degrees_from_sigma,
@@ -36,6 +36,7 @@ from conelab.rank3 import (
     det_rank3_dual_closed,
     embed_rank3,
     embed_rank3_dual,
+    from_cone_element,
     hurwitz_radon_number,
     relative_invariance_check,
     verify_composition,
@@ -174,7 +175,7 @@ def test_criterion_5_coupling_decomposition(capsys, fixture_family):
         # nonzero boundary points of the closure still pair strictly positively
         # with interior points of the dual cone
         for i in range(60):
-            Xb = sampler.boundary_rank3(F, V, zeros=1 + i % 2)
+            Xb = from_cone_element(sampler.boundary_element(V, 1 + i % 2), F)
             Xi = sampler.interior_rank3_dual(F, Vd)
             assert coupling(Xb, Xi) > 0
         note["detail"] = "%d interior pairs, 60 boundary pairs" % pairs
@@ -257,7 +258,7 @@ def test_criterion_8_membership_vs_minors(capsys, fixture_family):
                 else:
                     x = sampler.boundary_element(V, zeros=1 + rounds % (r - 1))
                     rounds += 1
-                verdict = is_member(x, V)
+                verdict = ldl_decompose(x, V).is_member
                 oracle, _minors = is_positive_definite_minors(embed(x, V))
                 assert verdict == oracle
                 members += 1 if verdict else 0

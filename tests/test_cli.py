@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conelab
-from conelab import cli, core, doubling, rank3, serialize
+from conelab import cli, core, degrees, doubling, rank3, serialize
 from conelab.core import BlockPartition, LdlResult, VCollection, group_element
-from conelab.degrees import sigma_from_dims
+from conelab.degrees import DimTable, sigma_from_dims
 from conelab.doubling import iterate_construction
+from conelab.errors import ClosureViolationError
 from conelab.rank3 import bundled_family_3_5_7
 from conelab.sampling import RationalSampler
 from tests.dense_oracle import dense_ldl_decompose
@@ -121,7 +127,10 @@ def test_theorem_bad_rank(capsys):
 
 
 def test_theorem_rank_cap(capsys, monkeypatch):
-    monkeypatch.setenv("CONELAB_RANK_CAP", "3")
+    code, out, err = run(capsys, "theorem", "--rank", "14")
+    assert (code, out) == (2, "")
+    assert err == "error: rank 14 exceeds the cap 13\n"
+    monkeypatch.setattr(doubling, "DEFAULT_RANK_CAP", 3)
     code, _, err = run(capsys, "theorem", "--rank", "4")
     assert code == 2
     assert "cap" in err
@@ -148,15 +157,6 @@ def test_member_spec_points(capsys, tmp_path):
     assert "pivots_approx" not in d
 
 
-def test_member_approx(capsys, tmp_path):
-    _, cone = write_omega2(tmp_path)
-    point = tmp_path / "p.json"
-    point.write_text(json.dumps({"diag": ["1/2", 1]}), encoding="utf-8")
-    d = run_json(capsys, "member", "--cone", cone, "--point", str(point), "--approx")
-    assert d["pivots_approx"] == [0.5, 1.0]
-    assert d["pivots"] == ["1/2", "1"]  # exact values stay authoritative
-
-
 def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
     V, cone = write_omega2(tmp_path)
     point = tmp_path / "p.json"
@@ -180,6 +180,112 @@ def test_member_rebuild_mismatch_exit_3(capsys, tmp_path, monkeypatch):
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "rebuild" in err
     assert "Traceback" not in err
+
+
+def _fault(module, name, make):
+    """A setup that replaces module.name by make(the original)."""
+    return lambda m: m.setattr(module, name, make(getattr(module, name)))
+
+
+def _raising(exc):
+    def fail(*args):
+        raise exc
+
+    return lambda original: fail
+
+
+def _coupling_with(**fields):
+    def make(check):
+        return lambda X, Xi, F: rank3.CouplingDecomposition(
+            **dict(vars(check(X, Xi, F)), **fields)
+        )
+
+    return make
+
+
+def _wrong_dims_cone(r):
+    # passes (V1)-(V3) with d_21 = 1, not the extremal 2
+    return VCollection(BlockPartition((1, 1)), {(2, 1): [[[1]]]})
+
+
+def _sigma_of_zero_table(sigma):
+    # the half-lines' sigma: every degree is 1, not 2^(i-1)
+    return lambda t: sigma(DimTable(t.r, dict.fromkeys((key for key, _ in t.items()), 0)))
+
+
+INTERNAL_FAULTS = {
+    "det-oracle": (
+        _fault(rank3, "det_rank3_closed", lambda det: lambda X, F: det(X, F) + 1),
+        ("rank3", "det", "--family", "{fam}", "--point", "{point}"),
+        "disagrees with elimination oracle",
+    ),
+    "coupling-failed": (
+        _fault(rank3, "coupling_decomposition_check", _coupling_with(passed=False)),
+        ("rank3", "duality", "--family", "{fam}", "--samples", "1"),
+        "identity failed",
+    ),
+    "coupling-not-positive": (
+        _fault(rank3, "coupling_decomposition_check", _coupling_with(lhs=0)),
+        ("rank3", "duality", "--family", "{fam}", "--samples", "1"),
+        "not positive",
+    ),
+    "member-rebuild": (
+        _fault(core, "rho_act", _raising(ClosureViolationError("left V_21", (2, 1)))),
+        ("member", "--cone", "{cone}", "--point", "{member}"),
+        "internal error: left V_21",
+    ),
+    "verify-runtime": (
+        _fault(core, "verify_v_conditions", _raising(RuntimeError("lost a pivot"))),
+        ("verify", "--in", "{cone}"),
+        "internal error: lost a pivot",
+    ),
+    "theorem-table": (
+        _fault(doubling, "iterate_construction", lambda it: _wrong_dims_cone),
+        ("theorem", "--rank", "2"),
+        "dimension table",
+    ),
+    "theorem-degree": (
+        _fault(degrees, "sigma_from_dims", _sigma_of_zero_table),
+        ("theorem", "--rank", "3"),
+        "last degree",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INTERNAL_FAULTS))
+def test_internal_faults_exit_3(capsys, monkeypatch, tmp_path, fault):
+    setup, argv, message = INTERNAL_FAULTS[fault]
+    _, cone = write_omega2(tmp_path)
+    _, fam = write_family(tmp_path)
+    files = {"cone": cone, "fam": fam}
+    for name, data in (
+        ("member", {"diag": [2, 1], "off": [{"k": 2, "j": 1, "coords": [1, 0]}]}),
+        ("point", {"x11": 2, "x22": 3, "x33": 5, "y": [1, 0, 0, 0, 0]}),
+    ):
+        files[name] = str(tmp_path / (name + ".json"))
+        serialize.dump_file(files[name], data)
+    setup(monkeypatch)
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, removed",
+    [
+        (("member", "--cone", "{cone}", "--point", "{cone}"), ("--approx",)),
+        (("rank3", "det", "--family", "{fam}", "--point", "{fam}"), ("--approx",)),
+        (("rank3", "duality", "--family", "{fam}"), ("--max-numerator", "100")),
+        (("rank3", "duality", "--family", "{fam}"), ("--max-denominator", "10")),
+    ],
+    ids=["member-approx", "det-approx", "max-numerator", "max-denominator"],
+)
+def test_removed_flags_are_unknown(capsys, tmp_path, argv, removed):
+    files = {"cone": write_omega2(tmp_path)[1], "fam": write_family(tmp_path)[1]}
+    code, out, err = run(capsys, *(a.format(**files) for a in argv), *removed)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: %s\n" % " ".join(removed) in err
 
 
 def _zero_pivot_point(name):
@@ -336,7 +442,7 @@ def test_double_iterate_round_trip(capsys, tmp_path):
 def test_double_rank_cap_exit_2(capsys, monkeypatch, tmp_path):
     path = tmp_path / "r3.json"
     serialize.dump_file(str(path), serialize.realization_to_dict(iterate_construction(3)))
-    monkeypatch.setenv("CONELAB_RANK_CAP", "3")
+    monkeypatch.setattr(doubling, "DEFAULT_RANK_CAP", 3)
     out_path = tmp_path / "r4.json"
     code, out, err = run(capsys, "double", "--in", str(path), "--out", str(out_path))
     assert code == 2 and out == ""
@@ -474,11 +580,6 @@ def test_rank3_det(capsys, tmp_path):
         capsys, "rank3", "det", "--family", fam, "--point", str(dual_point), "--dual"
     )
     assert dd["det"] == "1"
-    da = run_json(
-        capsys,
-        "rank3", "det", "--family", fam, "--point", str(point), "--approx",
-    )
-    assert da["det_approx"] == float(d["det"])
 
 
 @pytest.mark.parametrize(
@@ -536,8 +637,6 @@ def test_rank3_duality_samples_limit(capsys, tmp_path):
     [
         ("--samples", "0"),
         ("--samples", "-3"),
-        ("--max-numerator", "0"),
-        ("--max-denominator", "-1"),
     ],
 )
 def test_rank3_duality_rejects_non_positive_flags(capsys, tmp_path, flag, value):
@@ -640,24 +739,17 @@ def test_over_long_integer_input_exit_1(tmp_path, entry, message):
     assert "Traceback" not in child.stderr
 
 
-@pytest.mark.parametrize(
-    "digits, flags, message",
-    [
-        # det is a product of 11 diagonal entries: over 4300 digits
-        (1000, (), "cannot write a value of " + _LIMIT),
-        # about 3300 digits: writable, but beyond the float range
-        (300, ("--approx",), "beyond the float range"),
-    ],
-    ids=["exact", "approx"],
-)
-def test_rank3_det_too_large_to_write_exit_1(tmp_path, digits, flags, message):
+@pytest.mark.parametrize("digits", [1000], ids=["exact"])
+def test_rank3_det_too_large_to_write_exit_1(tmp_path, digits):
+    # det is a product of 11 diagonal entries: over 4300 digits
     _, fam = write_family(tmp_path)
     point = tmp_path / "pt.json"
     big = "9" * digits
     point.write_text(json.dumps({"x11": big, "x22": big, "x33": big}), encoding="utf-8")
-    child = run_child("rank3", "det", "--family", fam, "--point", str(point), *flags)
+    child = run_child("rank3", "det", "--family", fam, "--point", str(point))
     assert child.returncode == 1
     assert child.stdout == ""
+    message = "cannot write a value of " + _LIMIT
     assert child.stderr.count("\n") == 1 and message in child.stderr
     assert "Traceback" not in child.stderr
 
@@ -787,3 +879,116 @@ def test_iterate_rank_11_refused_at_a_small_peak():
     code, out, peak = run_child_peak("iterate", "--rank", "11")
     assert (code, out) == (1, "")
     assert peak < 80
+
+
+# Fuzzing the CLI in process: whatever the files hold, every command exits
+# 0, 1 or 2 through cli.main, and no exception escapes it.
+
+_WIRE_KEYS = (
+    "partition", "spaces", "k", "j", "basis", "diag", "off", "coords",
+    "r", "s", "n", "A", "dims", "d21", "d31", "d32",
+    "x11", "x22", "x33", "x", "y", "z", "xi11", "xi22", "xi33", "xi", "eta", "zeta",
+)
+_wire_json = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.floats(-2, 2),
+        st.sampled_from(["0", "1", "-1", "1/2", "2/0", "4/6", "x", ""]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(_WIRE_KEYS), inner, max_size=5),
+    ),
+    max_leaves=16,
+)
+_rationals = st.one_of(
+    st.sampled_from(["0", "1", "-1"]),
+    st.fractions(-3, 3, max_denominator=3).map(serialize.rational_to_str),
+)
+
+
+def _rational_list(size):
+    return st.lists(_rationals, min_size=size, max_size=size)
+
+
+@st.composite
+def _realization_files(draw):
+    """A well-shaped realization, a point on it and a dims table of its rank."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    r = len(sizes)
+    spaces, off, dims = [], [], {}
+    for k in range(2, r + 1):
+        for j in range(1, k):
+            dim = draw(st.integers(0, 2))
+            entries = _rational_list(sizes[k - 1] * sizes[j - 1])
+            basis = draw(st.lists(entries, min_size=dim, max_size=dim))
+            spaces.append({"k": k, "j": j, "basis": basis})
+            off.append({"k": k, "j": j, "coords": draw(_rational_list(dim))})
+            dims["d%d%d" % (k, j)] = draw(st.integers(0, 4))
+    return {
+        "cone": {"partition": sizes, "spaces": spaces},
+        "element": {"diag": draw(_rational_list(r)), "off": off},
+        "dims": {"r": r, "dims": dims},
+    }
+
+
+@st.composite
+def _family_files(draw):
+    """A well-shaped family of shape (r, s, n) and a point of each side."""
+    r, s = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    n = draw(st.integers(max(r, s), 3))
+    matrix = st.lists(_rational_list(s), min_size=n, max_size=n)
+    A = draw(st.lists(matrix, min_size=r, max_size=r))
+    files = {"family": {"r": r, "s": s, "n": n, "A": A}}
+    for name, fields in (
+        ("point", ("x11", "x22", "x33", "x", "y", "z")),
+        ("dual", ("xi11", "xi22", "xi33", "xi", "eta", "zeta")),
+    ):
+        point = {f: draw(_rationals) for f in fields[:3]}
+        for f, size in zip(fields[3:], (r, s, n)):
+            point[f] = draw(_rational_list(size))
+        files[name] = point
+    return files
+
+
+_FUZZ_COMMANDS = (
+    ("verify", "--in", "{cone}"),
+    ("member", "--cone", "{cone}", "--point", "{element}"),
+    ("double", "--in", "{cone}"),
+    ("sigma", "--dims", "{dims}"),
+    ("rank3", "det", "--family", "{family}", "--point", "{point}"),
+    ("rank3", "det", "--family", "{family}", "--point", "{dual}", "--dual"),
+    ("rank3", "build", "--family", "{family}"),
+    ("rank3", "build", "--family", "{family}", "--dual"),
+    ("rank3", "duality", "--family", "{family}", "--samples", "1"),
+)
+_ALL_INPUTS = ("cone", "element", "dims", "family", "point", "dual")
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    st.one_of(
+        _wire_json.map(lambda d: dict.fromkeys(_ALL_INPUTS, d)),
+        _realization_files(),
+        _family_files(),
+    )
+)
+def test_cli_fuzz_exits_0_1_or_2(inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in inputs.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        for argv in _FUZZ_COMMANDS:
+            try:
+                argv = [a.format(**paths) for a in argv]
+            except KeyError:  # an input this example does not hold
+                continue
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -22,7 +22,6 @@ from conelab.core import (
     group_element,
     identity_element,
     inner_product_V,
-    is_member,
     ldl_decompose,
     project,
     project_group,
@@ -833,14 +832,14 @@ def test_ldl_agrees_with_minors(omega2, omega3):
         for _ in range(40):
             x = sampler.cone_element(V)
             verdict, _ = is_positive_definite_minors(embed(x, V))
-            assert is_member(x, V) == verdict
+            assert ldl_decompose(x, V).is_member == verdict
 
 
 def test_interior_sampler_members(omega2, omega3):
     sampler = RationalSampler(seed=11)
     for V in (omega2, omega3):
         for _ in range(10):
-            assert is_member(sampler.interior_element(V), V)
+            assert ldl_decompose(sampler.interior_element(V), V).is_member
 
 
 def test_boundary_sampler(omega3):

@@ -2,15 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from conelab import doubling
 from conelab.core import BlockPartition, VCollection, verify_v_conditions
 from conelab.degrees import degrees_from_sigma, sigma_from_dims
-from conelab.doubling import (
-    DEFAULT_RANK_CAP,
-    RANK_CAP_ENV,
-    double,
-    iterate_construction,
-    rank_cap,
-)
+from conelab.doubling import DEFAULT_RANK_CAP, double, iterate_construction
 from conelab.errors import StructureError
 from tests.dense_oracle import dense_basis
 
@@ -52,7 +47,7 @@ def test_double_requires_valid_input():
 
 
 def test_double_honours_rank_cap(monkeypatch):
-    monkeypatch.setenv(RANK_CAP_ENV, "3")
+    monkeypatch.setattr(doubling, "DEFAULT_RANK_CAP", 3)
     V3 = iterate_construction(3)
     with pytest.raises(StructureError, match="rank 4 exceeds the cap 3"):
         double(V3)
@@ -129,20 +124,14 @@ def test_iterate_validates_rank():
         iterate_construction(DEFAULT_RANK_CAP + 1)
 
 
-def test_rank_cap_env(monkeypatch):
-    monkeypatch.delenv(RANK_CAP_ENV, raising=False)
-    assert rank_cap() == DEFAULT_RANK_CAP
-    monkeypatch.setenv(RANK_CAP_ENV, "3")
-    assert rank_cap() == 3
+def test_rank_cap_is_a_constant_read_at_call_time(monkeypatch):
+    assert DEFAULT_RANK_CAP == 13
+    with pytest.raises(StructureError, match=r"^rank 14 exceeds the cap 13$"):
+        iterate_construction(14)
+    monkeypatch.setattr(doubling, "DEFAULT_RANK_CAP", 3)
     with pytest.raises(StructureError, match="exceeds the cap 3"):
         iterate_construction(4)
     assert iterate_construction(3).partition.total == 7
-    monkeypatch.setenv(RANK_CAP_ENV, "junk")
-    with pytest.raises(StructureError):
-        rank_cap()
-    monkeypatch.setenv(RANK_CAP_ENV, "0")
-    with pytest.raises(StructureError):
-        rank_cap()
 
 
 def test_double_general_input_not_from_iteration():

@@ -4,6 +4,8 @@ Each check runs in a fresh interpreter, since this test process has long
 since imported every module.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -104,3 +106,32 @@ def test_every_benchmark_traced_name_resolves(monkeypatch):
     finally:
         del sys.modules["tracer"]
     assert missing == []
+
+
+_ENVIRONMENT = {"environ", "getenv"}
+
+
+def _environment_reads_and_float_calls(tree):
+    """What in tree reads os.environ/os.getenv or calls the builtin float."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in _ENVIRONMENT:
+                found.append("os.%s" % node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += ["from os import %s" % a.name for a in node.names if a.name in _ENVIRONMENT]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "float":
+                found.append("float(...)")
+    return found
+
+
+def test_no_module_reads_the_environment_or_calls_float():
+    # every setting is a flag or a constant, and every answer is exact
+    offenders = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "conelab", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            found = _environment_reads_and_float_calls(ast.parse(fh.read(), path))
+        if found:
+            offenders[os.path.basename(path)] = found
+    assert offenders == {}

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conelab import cli, linalg, poly
-from conelab.core import VCollection, embed, is_member, verify_v_conditions
+from conelab.core import VCollection, embed, verify_v_conditions
 from conelab.degrees import rank3_table, sigma_from_dims
 from conelab.errors import StructureError
 from conelab.rank3 import (
@@ -42,8 +42,6 @@ from conelab.rank3 import (
     embed_rank3_dual,
     from_cone_element,
     hurwitz_radon_number,
-    identity_rank3,
-    identity_rank3_dual,
     primal_values,
     rank3_element,
     relative_invariance_check,
@@ -474,19 +472,17 @@ def test_element_builders_validate(fixture_family):
 def test_det_identity_is_one(rn):
     r, n = rn
     F = _family(r, n)
-    assert det_rank3_closed(identity_rank3(F), F) == 1
-    assert det_rank3_dual_closed(identity_rank3_dual(F), F) == 1
+    assert det_rank3_closed(rank3_element(F, 1, 1, 1), F) == 1
+    assert det_rank3_dual_closed(dual_rank3_element(F, 1, 1, 1), F) == 1
 
 
 def test_det_identity_is_one_nonsquare(fixture_family):
-    assert det_rank3_closed(identity_rank3(fixture_family), fixture_family) == 1
-    assert (
-        det_rank3_dual_closed(identity_rank3_dual(fixture_family), fixture_family)
-        == 1
-    )
+    F = fixture_family
+    assert det_rank3_closed(rank3_element(F, 1, 1, 1), F) == 1
+    assert det_rank3_dual_closed(dual_rank3_element(F, 1, 1, 1), F) == 1
     F0 = _zero_family(2, 3)
-    assert det_rank3_closed(identity_rank3(F0), F0) == 1
-    assert det_rank3_dual_closed(identity_rank3_dual(F0), F0) == 1
+    assert det_rank3_closed(rank3_element(F0, 1, 1, 1), F0) == 1
+    assert det_rank3_dual_closed(dual_rank3_element(F0, 1, 1, 1), F0) == 1
 
 
 def test_det_diagonal_forms(fixture_family):
@@ -540,13 +536,13 @@ def test_det_oracle_r0():
 
 def test_coupling_identities(fixture_family):
     F = fixture_family
-    assert coupling(identity_rank3(F), identity_rank3_dual(F)) == 3
+    assert coupling(rank3_element(F, 1, 1, 1), dual_rank3_element(F, 1, 1, 1)) == 3
 
 
 def test_coupling_1_1_1_example():
     F = _family(1, 1)
     X = rank3_element(F, 2, 1, 1, x=(1,))
-    Xi = identity_rank3_dual(F)
+    Xi = dual_rank3_element(F, 1, 1, 1)
     assert coupling(X, Xi) == 4
 
 
@@ -652,8 +648,9 @@ def test_coupling_refuses_broken_family_with_its_pair(monkeypatch):
     # on a family that keeps its relations a failed check is an internal fault
     G = _family(2, 2)
     monkeypatch.setattr(rank3, "_bordered_solve", lambda *args: None)
+    X, Xi = rank3_element(G, 1, 1, 1), dual_rank3_element(G, 1, 1, 1)
     with pytest.raises(RuntimeError, match="bordered solve"):
-        coupling_decomposition_check(identity_rank3(G), identity_rank3_dual(G), G)
+        coupling_decomposition_check(X, Xi, G)
 
 
 @pytest.mark.parametrize(
@@ -754,7 +751,7 @@ def test_case2_interior_positivity_and_boundary_zero():
         assert all(p.evaluate(vals) > 0 for p in inv.polys)
     # boundary points kill the product of the invariants
     for _ in range(10):
-        Xb = sampler.boundary_rank3(F, V)
+        Xb = from_cone_element(sampler.boundary_element(V), F)
         vals = primal_values(Xb)
         prod = 1
         for p in inv.polys:
