@@ -12,7 +12,6 @@ import sys
 from conelab import degrees as degrees_mod
 from conelab import serialize
 from conelab.errors import (
-    ClosureViolationError,
     InconsistentDimsError,
     NotInSpaceError,
     SerializationError,
@@ -108,17 +107,6 @@ def _over_dense_limit(count):
     return _over_limit("dense entry count", count, MAX_DENSE_ENTRIES)
 
 
-def _doubled_dense_count(V):
-    """_dense_count of double(V), from V's partition and dims alone.
-
-    double adds V_21, two n_1 x 2n_1 slabs, and widens each V_k1 to two
-    n_k x 2n_1 copies of its basis; every other space is carried over.
-    """
-    n1 = V.partition.size(1)
-    first_column = sum(V.dim(k, 1) * V.partition.size(k) for k in range(2, V.r + 1))
-    return _dense_count(V) + 4 * n1 * n1 + 4 * n1 * first_column
-
-
 def _extremal_dims(r):
     return degrees_mod.DimTable(
         r, {(k, j): 2 ** (k - j) for k in range(2, r + 1) for j in range(1, k)}
@@ -183,12 +171,12 @@ def cmd_theorem(args):
 
 def cmd_double(args):
     V = _load_realization(args.infile)
-    from conelab.doubling import double
+    from conelab import doubling
 
     # refused before double verifies its input
-    if _over_dense_limit(_doubled_dense_count(V)):
+    if _over_dense_limit(_dense_count(doubling._double_unchecked(V))):
         return EXIT_INPUT
-    _emit(serialize.realization_to_dict(double(V)), args.out)
+    _emit(serialize.realization_to_dict(doubling.double(V)), args.out)
     return EXIT_OK
 
 
@@ -437,20 +425,11 @@ def main(argv=None):
     except SerializationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except InconsistentDimsError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SEMANTIC
-    except NotInSpaceError as exc:
+    except (InconsistentDimsError, NotInSpaceError, StructureError) as exc:
         block = getattr(exc, "block", None)
         where = " (block %s)" % (block,) if block else ""
         print("error: %s%s" % (exc, where), file=sys.stderr)
         return EXIT_SEMANTIC
-    except StructureError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SEMANTIC
-    except ClosureViolationError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return EXIT_INTERNAL
     except CommandFailure as exc:
         print("invariant violated: %s" % exc, file=sys.stderr)
         return exc.code

@@ -418,25 +418,14 @@ def _scalar_of_diag_block(M, part, i):
     return c
 
 
-def _project(M, V, symmetric):
-    """Diagonal scalars and lower-block coordinates of an N x N matrix.
-
-    symmetric demands M == tM; otherwise every block above the diagonal must
-    vanish. Raises NotInSpaceError at the first block outside V.
-    """
+def project(M, V):
+    """Inverse of embed; raises NotInSpaceError at the first offending block."""
     part = V.partition
     N = part.total
     if len(M) != N or any(len(row) != N for row in M):
         raise StructureError("matrix is not %d x %d" % (N, N))
-    if symmetric:
-        if not linalg.is_symmetric(M):
-            raise StructureError("matrix is not symmetric")
-    else:
-        for k, j in V.pairs():
-            if any(any(row) for row in _extract_block(M, part, j, k)):
-                raise StructureError(
-                    "matrix is not block lower triangular at (%d, %d)" % (j, k)
-                )
+    if not linalg.is_symmetric(M):
+        raise StructureError("matrix is not symmetric")
     diag = []
     for i in range(1, part.r + 1):
         c = _scalar_of_diag_block(M, part, i)
@@ -461,26 +450,12 @@ def _project(M, V, symmetric):
                 "block (%d, %d) is outside its declared span" % (k, j), (k, j)
             )
         coords[(k, j)] = tuple(cs)
-    return tuple(diag), coords
-
-
-def project(M, V):
-    """Inverse of embed; raises NotInSpaceError at the first offending block."""
-    diag, off = _project(M, V, symmetric=True)
-    return ConeElement(diag=diag, off=off)
+    return ConeElement(diag=tuple(diag), off=coords)
 
 
 def embed_group(h, V):
     """Block lower triangular N x N matrix of a GroupElement."""
     return _embed(V, h.diag, h.lower, symmetric=False)
-
-
-def project_group(M, V):
-    """Inverse of embed_group for block lower triangular matrices."""
-    diag, lower = _project(M, V, symmetric=False)
-    if 0 in diag:
-        raise StructureError("diagonal block %d vanishes" % (diag.index(0) + 1))
-    return GroupElement(diag=diag, lower=lower)
 
 
 def _bilinear(a, G, b):

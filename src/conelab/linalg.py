@@ -22,10 +22,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def mat_vec(A, v):
-    return [kernels.dot(row, v) for row in A]
-
-
 def kron(A, B):
     """Kronecker product of two row-major matrices."""
     if not A or not B:

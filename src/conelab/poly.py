@@ -20,10 +20,6 @@ class Poly:
                     self.terms[mono] = c
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
 
@@ -96,9 +92,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
 
     def total_degree(self):
         """Max total degree over monomials; 0 for the zero polynomial."""

@@ -435,11 +435,6 @@ def from_cone_element(e, F):
     )
 
 
-def dual_to_cone_element(Xi, F, Vd):
-    """DualRank3Element -> ConeElement of build_rank3_dual(F); diag reversed."""
-    return to_cone_element(_as_primal(Xi), _dual_shape(F), Vd)
-
-
 def dual_from_cone_element(e, F):
     return _as_dual(from_cone_element(e, _dual_shape(F)))
 

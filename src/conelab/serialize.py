@@ -294,11 +294,12 @@ def dims_from_dict(d):
         raise SerializationError("dims must be an object")
     entries = {}
     for key, value in d["dims"].items():
+        # one spelling per entry: a key must read back as _dim_key(k, j)
         m = _DIM_KEY_RE.match(key)
-        if not m:
+        kj = tuple(int(g) for g in m.groups() if g is not None) if m else None
+        if kj is None or key != _dim_key(*kj):
             raise SerializationError("bad dimension key %r" % key)
-        k, j = (m.group(1), m.group(2)) if m.group(1) else (m.group(3), m.group(4))
-        entries[(int(k), int(j))] = value
+        entries[kj] = value
     # DimTable checks each value; its ValueError is a malformed file here
     try:
         return degrees_mod.DimTable(r, entries)

@@ -41,6 +41,7 @@ from conelab import _kernels as kernels
 from conelab.core import (
     BlockPartition,
     ConditionReport,
+    GroupElement,
     LdlResult,
     VCollection,
     VerificationReport,
@@ -49,7 +50,6 @@ from conelab.core import (
     embed_group,
     group_element,
     project,
-    project_group,
 )
 from conelab.errors import (
     ClosureViolationError,
@@ -356,14 +356,20 @@ def dense_rho_act(h, x, V):
 
 
 def dense_group_compose(h1, h2, V):
-    """group_compose through the embedded N x N matrices."""
+    """group_compose through the embedded N x N matrices.
+
+    The product P is block lower triangular; project reads it back as
+    P + tP, whose diagonal scalars are twice those of P.
+    """
     P = kernels.mat_mul(embed_group(h1, V), embed_group(h2, V))
+    S = [[a + b for a, b in zip(row, col)] for row, col in zip(P, zip(*P))]
     try:
-        return project_group(P, V)
+        x = project(S, V)
     except NotInSpaceError as exc:
         raise ClosureViolationError(
             "product left the group: %s" % exc, exc.block
         ) from exc
+    return GroupElement(diag=tuple(Fraction(c, 2) for c in x.diag), lower=x.off)
 
 
 def _status(pivots):

@@ -93,9 +93,12 @@ def test_sigma_inconsistent_dims_exit_2(capsys, tmp_path):
         json.dumps({"r": 3, "dims": {"d21": 1, "d31": 1, "d32": 5}}),
         encoding="utf-8",
     )
-    code, out, err = run(capsys, "sigma", "--dims", str(path))
-    assert code == 2
-    assert "slot" in err
+    assert run(capsys, "sigma", "--dims", str(path)) == (
+        2,
+        "",
+        "error: dimension table not consistent with a homogeneous cone: "
+        "column 1 goes negative in slot 3 at stage 2\n",
+    )
 
 
 def test_sigma_requires_exactly_one_source(capsys, tmp_path):
@@ -394,13 +397,36 @@ def test_member_on_a_broken_cone_exit_2(capsys, tmp_path, cone, point, err):
     assert got == (2, "", "error: %s\n" % err)
 
 
-@pytest.mark.parametrize("value", [True, -1, 2.0, "2"])
-def test_sigma_dims_bad_value_exit_1(capsys, tmp_path, value):
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        *(
+            pytest.param(
+                {"r": 2, "dims": {"d21": value}},
+                "d_21 must be a nonnegative integer",
+                id=str(value),
+            )
+            for value in (True, -1, 2.0, "2")
+        ),
+        # one entry under two spellings, and a zero-padded spelling
+        pytest.param(
+            {"r": 3, "dims": {"d21": 1, "d31": 1, "d32": 5, "d3_2": 0}},
+            "bad dimension key 'd3_2'",
+            id="two-spellings",
+        ),
+        pytest.param(
+            {"r": 3, "dims": {"d21": 1, "d31": 1, "d03_02": 0}},
+            "bad dimension key 'd03_02'",
+            id="zero-padded",
+        ),
+    ],
+)
+def test_sigma_dims_bad_value_exit_1(capsys, tmp_path, d, message):
     path = tmp_path / "dims.json"
-    path.write_text(json.dumps({"r": 2, "dims": {"d21": value}}), encoding="utf-8")
+    path.write_text(json.dumps(d), encoding="utf-8")
     code, out, err = run(capsys, "sigma", "--dims", str(path))
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "d_21 must be a nonnegative integer" in err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_verify_pass_and_fail(capsys, tmp_path):
@@ -556,8 +582,12 @@ def test_rank3_classify(capsys):
     assert d["triple"] == [3, 5, 7]
     d = run_json(capsys, "rank3", "classify", "--triple", "5", "3", "7")
     assert d["swapped"] is True and d["normalized"] == [3, 5, 7]
-    code, _, err = run(capsys, "rank3", "classify", "--triple", "3", "6", "6")
-    assert code == 2 and "Hurwitz-Radon" in err
+    assert run(capsys, "rank3", "classify", "--triple", "3", "6", "6") == (
+        2,
+        "",
+        "error: no composition family of shape (3, 6, 6): "
+        "r = 3 exceeds the Hurwitz-Radon bound rho(6) = 2\n",
+    )
     assert run(capsys, "rank3", "classify", "--triple", "-1", "2", "2")[0] == 1
 
 
@@ -863,16 +893,6 @@ def test_dense_writers_refuse_over_the_entry_limit(capsys, monkeypatch, tmp_path
         assert (code, out) == (1, "")
         assert "exceeds the limit of 35" in err
         assert not out_path.exists()
-
-
-def test_doubled_dense_count_comes_from_the_input():
-    from conelab.doubling import double
-
-    inputs = [iterate_construction(r) for r in range(1, 7)]
-    for F in (bundled_family_3_5_7(), rank3.composition_family(4, 8)):
-        inputs += [rank3.build_rank3_cone(F), rank3.build_rank3_dual(F)]
-    for V in inputs:
-        assert cli._doubled_dense_count(V) == cli._dense_count(double(V))
 
 
 def test_iterate_rank_11_refused_at_a_small_peak():

@@ -24,7 +24,6 @@ from conelab.core import (
     inner_product_V,
     ldl_decompose,
     project,
-    project_group,
     rho_act,
     verify_v_conditions,
 )
@@ -140,18 +139,16 @@ def test_project_zero_dim_block_must_vanish():
 
 
 def test_group_round_trip(omega2, omega3):
+    # embed_group is block lower triangular; M + tM carries its lower blocks
+    # and twice its diagonal scalars
     sampler = RationalSampler(seed=4)
     for V in (omega2, omega3):
         for _ in range(10):
             h = sampler.group_element(V)
-            assert project_group(embed_group(h, V), V) == h
-
-
-def test_project_group_rejects_upper_entries(omega2):
-    M = embed_group(group_element(omega2, (1, 1)), omega2)
-    M[0][2] = 1
-    with pytest.raises(StructureError, match="lower"):
-        project_group(M, omega2)
+            M = embed_group(h, V)
+            S = [[a + b for a, b in zip(row, col)] for row, col in zip(M, zip(*M))]
+            x = project(S, V)
+            assert (x.diag, x.off) == (tuple(2 * c for c in h.diag), h.lower)
 
 
 def test_sym_pair_scalar_examples():

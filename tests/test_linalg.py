@@ -30,7 +30,7 @@ def test_identity_zeros_transpose():
 
 def test_mat_vec_and_arithmetic():
     A = [[1, 2], [3, 4]]
-    assert linalg.mat_vec(A, [1, -1]) == [-1, -1]
+    assert [_kernels.dot(row, [1, -1]) for row in A] == [-1, -1]
     assert mat_sub(A, A) == [[0, 0], [0, 0]]
     assert scalar_mul(Fraction(1, 2), A) == [
         [Fraction(1, 2), 1],
@@ -124,7 +124,7 @@ def test_solve_linear():
     A = [[2, 1], [1, 3]]
     b = [3, 5]
     x = linalg.solve_linear(A, b)
-    assert linalg.mat_vec(A, x) == b
+    assert [_kernels.dot(row, x) for row in A] == b
     with pytest.raises(StructureError, match="singular"):
         linalg.solve_linear([[1, 1], [1, 1]], [1, 0])
 
@@ -136,7 +136,8 @@ def test_solve_linear_matches_fraction_gauss():
     swap = [[0, 2, 1], [0, half, 3], [Fraction(1, 3), 1, 0]]
     b = [1, Fraction(-2, 7), 5]
     assert linalg.solve_linear(swap, b) == dense_solve_linear(swap, b)
-    assert linalg.mat_vec(swap, linalg.solve_linear(swap, b)) == b
+    x = linalg.solve_linear(swap, b)
+    assert [_kernels.dot(row, x) for row in swap] == b
     singular = [[half, 1, 0], [1, 2, 0], [0, 0, Fraction(3, 5)]]
     for solve in (linalg.solve_linear, dense_solve_linear):
         with pytest.raises(StructureError, match="singular"):
@@ -257,7 +258,7 @@ def test_solve_linear_random_residuals():
             continue
         b = [_rand_frac(rng) for _ in range(n)]
         x = linalg.solve_linear(A, b)
-        assert linalg.mat_vec(A, x) == b
+        assert [_kernels.dot(row, x) for row in A] == b
 
 
 def test_span_solver_membership_and_coords():
